@@ -26,8 +26,8 @@ from .graph import (Edge, GraphParams, MultilayerGraph, apply_alpha, build,
                     from_edges, remove_weakest)
 from .preprocess import (LanguageResources, SentenceRecord, build_sentences,
                          load_resources, normalize, segment)
-from .summarize import (RedundancyConfig, Summary, ar1_threshold,
-                        ngram_similarity, select)
+from .summarize import (RedundancyConfig, SelectionState, Summary,
+                        ar1_threshold, ngram_similarity, select)
 from .tfidf import SentenceVector, TfIdfModel, cosine, fit, vectorize
 
 __version__ = "0.1.0"

@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path as _sp_shortest_path
 
 from .errors import ConvergenceError, InvalidParameter, SingularMatrix
-from .graph import MultilayerGraph, adjacency, connected_components
+from .graph import MultilayerGraph, connected_components
 
 HIGHEST, LOWEST = "highest-first", "lowest-first"
 
@@ -215,47 +214,109 @@ def pagerank(g: MultilayerGraph, weighted: bool,
 # ---------------------------------------------------------------------------
 # self-avoiding-walk accessibility
 
+# The most self-avoiding walks accessibility at h >= 3 may enumerate, by the
+# bound sum_s d_s * (d_max - 1)**(h - 1); about a second of enumeration.
+MAX_SAW_WALKS = 1_000_000
+
+
+def _split_factors(n: int, d_max: int, h: int) -> list:
+    """factors[k] splits a walk's weight over k options: w * factors[k].
+
+    The first step's split is left out: it is common to every walk from a
+    start and cancels when the endpoint masses are normalized. Later steps
+    have at most d_max - 1 options and multiply by unit // k, with unit the
+    lcm of 1..d_max-1, so weights stay integers. While n * unit**(h-1) is
+    surely below 2**53 every float sum of them is exact, and the normalized
+    probabilities come out correctly rounded, as exact rational arithmetic
+    gives them. Past that the factors are the rounded shares 1/k.
+    """
+    top = max(d_max - 1, 1)
+    unit = math.lcm(*range(1, top + 1))
+    if n.bit_length() + (h - 1) * unit.bit_length() <= 53:
+        return [0] + [unit // k for k in range(1, top + 1)]
+    return [0.0] + [1.0 / k for k in range(1, top + 1)]
+
+
+def _check_walk_count(nbrs: list, starts, h: int) -> None:
+    d_max = max(len(s) for s in nbrs)
+    bound = sum(len(nbrs[s]) for s in starts) * max(d_max - 1, 0) ** (h - 1)
+    if bound > MAX_SAW_WALKS:
+        raise InvalidParameter(
+            f"h={h} would enumerate up to {bound} self-avoiding walks "
+            f"(limit {MAX_SAW_WALKS}); use a smaller h")
+
+
 def saw_probabilities(g: MultilayerGraph, start: int, h: int) -> dict:
     """Endpoint distribution of length-h self-avoiding walks from start.
 
     Steps are uniform over unvisited neighbours (edge presence only). Walks
     that dead-end before h steps drop their mass; the endpoint masses of
-    completed walks are renormalized. Probabilities are exact rationals
-    internally and floats in the returned map. Cost grows combinatorially
-    with h; meant for small h.
+    completed walks are renormalized. A depth-first enumeration in floats
+    (see _split_factors for when the result is exact); raises
+    InvalidParameter when the walk-count bound exceeds MAX_SAW_WALKS.
     """
     if h < 1:
         raise InvalidParameter(f"h must be >= 1, got {h}")
+    if h >= g.n_nodes:
+        return {}  # a walk of h steps visits h + 1 distinct nodes
     nbrs = _neighbour_sets(g)
+    _check_walk_count(nbrs, [start], h)
+    split = _split_factors(g.n_nodes, max(len(s) for s in nbrs), h)
     mass: dict = {}
-    total = Fraction(0)
+    total = 0.0
 
-    def extend(v, visited, depth, prob):
+    def extend(v, visited, depth, weight):
         nonlocal total
         if depth == h:
-            mass[v] = mass.get(v, Fraction(0)) + prob
-            total += prob
+            mass[v] = mass.get(v, 0.0) + weight
+            total += weight
             return
         options = [u for u in nbrs[v] if u not in visited]
         if not options:
             return
-        share = prob / len(options)
+        share = weight * split[len(options)] if depth else weight
         for u in options:
             extend(u, visited | {u}, depth + 1, share)
 
-    extend(start, {start}, 0, Fraction(1))
+    extend(start, {start}, 0, 1.0)
     if total == 0:
         return {}
-    return {v: float(p / total) for v, p in sorted(mass.items())}
+    return {v: p / total for v, p in sorted(mass.items())}
 
 
 def accessibility(g: MultilayerGraph, h: int) -> CentralityResult:
     """exp-entropy of the SAW endpoint distribution; 0 when no walk
-    completes."""
+    completes.
+
+    At h <= 2 the distribution has a closed form in the 0/1 adjacency A
+    with degrees d: walk mass A[i, j] / d_i to a neighbour j, then
+    A[j, k] / (d_j - 1) onwards, dropped where d_j = 1; zero the diagonal
+    (the walk may not return to i) and renormalize each row. Larger h
+    enumerates walks with saw_probabilities.
+    """
+    n = g.n_nodes
+    if h >= n:
+        return CentralityResult("access", {i: 0.0 for i in range(n)}, HIGHEST)
+    if h > 2:
+        nbrs = _neighbour_sets(g)
+        _check_walk_count(nbrs, range(n), h)
+        return CentralityResult("access", {
+            i: _true_diversity(saw_probabilities(g, i, h).values())
+            for i in range(n)}, HIGHEST)
+    a = (_weight_matrix(g) > 0) * 1.0
+    deg = a.sum(axis=1).astype(int)
+    if h == 1:
+        mass = a
+    else:
+        split = np.array(_split_factors(n, int(deg.max(initial=0)), h),
+                         dtype=float)
+        mass = a @ (a * split[np.maximum(deg - 1, 0)][:, None])
+        np.fill_diagonal(mass, 0.0)
+    totals = mass.sum(axis=1)
     scores = {}
-    for i in range(g.n_nodes):
-        dist = saw_probabilities(g, i, h)
-        scores[i] = _true_diversity(dist.values())
+    for i in range(n):
+        row = (mass[i] / totals[i]).tolist() if totals[i] > 0 else []
+        scores[i] = _true_diversity(row)
     return CentralityResult("access", scores, HIGHEST)
 
 
@@ -324,37 +385,47 @@ def symmetry(g: MultilayerGraph, h: int) -> CentralityResult:
     Levels are breadth-first distances from the node; edges inside a level
     and edges pointing back are disregarded, so each step moves from level k
     to level k+1 uniformly over the available forward edges. Dead-ended mass
-    is dropped as in saw_probabilities. Scores lie in [0, 1]; nodes with an
-    empty h-th level score 0.
+    is dropped as in saw_probabilities, and float mass is split the same way
+    (see _split_factors). Scores lie in [0, 1]; nodes with an empty h-th
+    level score 0. Only edge presence is read, so alpha does not change it.
     """
     if h < 1:
         raise InvalidParameter(f"h must be >= 1, got {h}")
+    n = g.n_nodes
+    if h >= n:
+        return CentralityResult("sym", {i: 0.0 for i in range(n)}, HIGHEST)
     nbrs = _neighbour_sets(g)
+    split = _split_factors(n, max(len(s) for s in nbrs), h)
     scores = {}
-    for i in range(g.n_nodes):
+    for i in range(n):
         level = _bfs_levels(nbrs, i)
         xi = [v for v, d in level.items() if d == h]
         if not xi:
             scores[i] = 0.0
             continue
-        mass = {i: Fraction(1)}
+        mass = {i: 1.0}
         for k in range(h):
             nxt: dict = {}
-            for v, prob in mass.items():
+            for v, weight in mass.items():
                 fwd = [u for u in nbrs[v] if level[u] == k + 1]
                 if not fwd:
                     continue
-                share = prob / len(fwd)
+                share = weight * split[len(fwd)] if k else weight
                 for u in fwd:
-                    nxt[u] = nxt.get(u, Fraction(0)) + share
+                    nxt[u] = nxt.get(u, 0.0) + share
             mass = nxt
         total = sum(mass.values())
         if total == 0:
             scores[i] = 0.0
             continue
-        diversity = _true_diversity(float(p / total) for p in mass.values())
+        diversity = _true_diversity(p / total for p in mass.values())
         scores[i] = diversity / len(xi)
     return CentralityResult("sym", scores, HIGHEST)
+
+
+def sym_low_from(sym: CentralityResult) -> CentralityResult:
+    """sym_low: the sym scores, ranked lowest first."""
+    return CentralityResult("sym_low", sym.scores, LOWEST)
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +506,7 @@ def compute(measure: str, g: MultilayerGraph,
     if measure == "sym":
         return symmetry(g, params.h)
     if measure == "sym_low":
-        base = symmetry(g, params.h)
-        return CentralityResult("sym_low", base.scores, LOWEST)
+        return sym_low_from(symmetry(g, params.h))
     if measure == "absT":
         return absorption_time(g)
     raise InvalidParameter(f"unknown measure {measure!r}")

@@ -45,8 +45,11 @@ def _add_common(sub):
     sub.add_argument("--r", help="comma list of edge-removal fractions")
     sub.add_argument("--measure", help="comma list of measure ids")
     sub.add_argument("--ard", help="comma list of none|AR1|AR2")
-    sub.add_argument("--h", type=int, help="walk length / level depth")
-    sub.add_argument("--jobs", type=int, help="parallel cluster workers")
+    sub.add_argument("--h", type=int,
+                     help="walk length / level depth (default 2)")
+    sub.add_argument("--jobs", type=int,
+                     help="parallel cluster workers (default: CPU count, "
+                          "at most one per cluster)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,6 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_BOOLEAN_KEYS = ("dump-sim", "dump-graph", "dump-scores")
+_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     """Start from config-file values, overwrite with explicit flags."""
     merged = {}
@@ -89,6 +96,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise NetsummError(f"config file {cfg_path} not found")
         merged.update(parse_manifest(
             cfg_path.read_text(encoding="utf-8"), str(cfg_path)))
+        for key in _BOOLEAN_KEYS:
+            if key in merged:
+                value = _BOOLEANS.get(merged[key].lower())
+                if value is None:
+                    raise NetsummError(
+                        f"{cfg_path}: {key} must be true, false, 1 or 0, "
+                        f"got {merged[key]!r}")
+                merged[key] = value
     for key, value in vars(args).items():
         if key in ("command", "config"):
             continue
@@ -162,8 +177,10 @@ def cmd_summarize(merged: dict) -> int:
         records = preprocess.build_sentences(cluster, res)
         model = tfidf.fit(records, len(cluster.documents))
         vectors = [tfidf.vectorize(rec, model) for rec in records]
-        vec_by_id = {v.sentence_id: v for v in vectors}
+        state = summarize.SelectionState(
+            records, {v.sentence_id: v for v in vectors})
         base = graph.build(vectors, [rec.layer_index for rec in records])
+        sym = None  # alpha-invariant: computed once per cluster
         if merged.get("dump-sim"):
             _write_sim(out / f"{cluster.id}__sim.csv", vectors)
         for alpha in grid.alphas:
@@ -176,7 +193,13 @@ def cmd_summarize(merged: dict) -> int:
                     else [(r, graph.remove_weakest(g_alpha, r))
                           for r in grid.rs]
                 for r, g_var in variants:
-                    ranking = centrality.compute(measure, g_var, params)
+                    if measure in ("sym", "sym_low"):
+                        if sym is None:
+                            sym = centrality.compute("sym", base, params)
+                        ranking = sym if measure == "sym" \
+                            else centrality.sym_low_from(sym)
+                    else:
+                        ranking = centrality.compute(measure, g_var, params)
                     if merged.get("dump-scores"):
                         _write_scores(
                             out / f"{cluster.id}__{measure}__a{alpha:g}"
@@ -185,7 +208,7 @@ def cmd_summarize(merged: dict) -> int:
                         summ = summarize.select(
                             records, ranking, cluster.budget,
                             summarize.RedundancyConfig(method=ard),
-                            vectors=vec_by_id, cluster_id=cluster.id)
+                            vectors=state, cluster_id=cluster.id)
                         name = (f"{cluster.id}__{measure}__a{alpha:g}"
                                 f"__r{_fmt_r(r)}__{ard}.txt")
                         (out / name).write_text(summ.text + "\n", "utf-8")

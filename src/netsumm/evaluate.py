@@ -160,6 +160,22 @@ def _corr_point(grid: SweepGrid) -> tuple:
     return alpha, r
 
 
+def _corr_snapshot(labels: tuple, results: dict) -> CorrelationMatrix | None:
+    """Spearman matrix over `labels`; a measure missing from results (its
+    ranking failed) gets NaN correlations."""
+    present = [results[m] for m in labels if m in results]
+    if len(present) < 2:
+        return None
+    corr = spearman_matrix(present)
+    if len(present) == len(labels):
+        return corr
+    values = np.full((len(labels), len(labels)), np.nan)
+    np.fill_diagonal(values, 1.0)
+    idx = [labels.index(res.measure) for res in present]
+    values[np.ix_(idx, idx)] = corr.values
+    return CorrelationMatrix(labels, values)
+
+
 def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, params: WalkParams,
                       aggregate: str) -> dict:
     """All cell scores for one cluster.
@@ -181,37 +197,53 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, params: WalkParams,
             cells[key] = (None, note)
         return {"cells": cells, "corr": None, "note": note}
 
-    vec_by_id = {v.sentence_id: v for v in vectors}
+    def rank(measure, g):
+        """The measure's ranking, or the skip note of its failure."""
+        try:
+            return centrality.compute(measure, g, params)
+        except NetsummError as exc:
+            return f"skip:{type(exc).__name__}"
+
+    state = summarize.SelectionState(
+        records, {v.sentence_id: v for v in vectors})
     corr_alpha, corr_r = _corr_point(grid)
-    corr_results = []
+    corr_results = {}
+    # sym reads edge presence only, which alpha leaves as it is
+    alpha_free = {}
+    if {"sym", "sym_low"} & set(grid.measures):
+        sym = rank("sym", base)
+        alpha_free = {"sym": sym, "sym_low": sym if isinstance(sym, str)
+                      else centrality.sym_low_from(sym)}
 
     for alpha in grid.alphas:
         g_alpha = graph.apply_alpha(base, alpha)
         rankings = {}
         for measure in grid.measures:
-            if measure in WEIGHTED_MEASURES:
-                rankings[(measure, None)] = centrality.compute(
-                    measure, g_alpha, params)
+            if measure in alpha_free:
+                rankings[(measure, None)] = alpha_free[measure]
+            elif measure in WEIGHTED_MEASURES:
+                rankings[(measure, None)] = rank(measure, g_alpha)
         for r in grid.rs:
             g_r = graph.remove_weakest(g_alpha, r)
             for measure in grid.measures:
                 if measure not in WEIGHTED_MEASURES:
-                    rankings[(measure, r)] = centrality.compute(
-                        measure, g_r, params)
+                    rankings[(measure, r)] = rank(measure, g_r)
         if alpha == corr_alpha:
             for measure in grid.measures:
-                if measure == "sym_low":
-                    continue  # same scores as sym
                 key = (measure, None if measure in WEIGHTED_MEASURES
                        else corr_r)
-                if key in rankings:
-                    corr_results.append(rankings[key])
+                if measure != "sym_low" and \
+                        not isinstance(rankings[key], str):
+                    corr_results[measure] = rankings[key]
         for (measure, r), ranking in rankings.items():
             for ard in grid.ards:
+                if isinstance(ranking, str):
+                    cells[(measure, alpha, r, ard)] = (None, ranking)
+                    continue
                 try:
                     summ = summarize.select(
                         records, ranking, cluster.budget, _redundancy(ard),
-                        vectors=vec_by_id, cluster_id=cluster.id)
+                        vectors=state, cluster_id=cluster.id)
                     score = rouge1_recall(summ.text, list(cluster.references),
                                           aggregate)
                     cells[(measure, alpha, r, ard)] = (score, "")
@@ -219,7 +251,8 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, params: WalkParams,
                     cells[(measure, alpha, r, ard)] = (
                         None, f"skip:{type(exc).__name__}")
 
-    corr = spearman_matrix(corr_results) if len(corr_results) >= 2 else None
+    labels = tuple(m for m in grid.measures if m != "sym_low")
+    corr = _corr_snapshot(labels, corr_results)
     return {"cells": cells, "corr": corr, "note": ""}
 
 
@@ -228,13 +261,15 @@ def run_sweep(clusters: list, grid: SweepGrid = SweepGrid(),
               jobs: int = 1) -> EvaluationReport:
     """Evaluate the full grid over a corpus.
 
-    Emits one row per admissible cell with the per-cluster scores and their
-    arithmetic mean, a per-measure best table, and the Spearman correlation
+    Clusters run in `jobs` worker processes, at most one per cluster; with
+    one, in this process. Emits one row per admissible cell with the
+    per-cluster scores and their arithmetic mean, a per-measure best table, and the Spearman correlation
     matrix averaged entrywise over clusters (see _corr_point for the
     snapshot the correlations are taken at).
     """
     if not clusters:
         raise InvalidParameter("no clusters to evaluate")
+    jobs = min(jobs, len(clusters))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             evaluated = list(pool.map(

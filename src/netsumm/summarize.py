@@ -5,12 +5,18 @@ AR1 skips a candidate whose tf-idf cosine to any already selected sentence
 exceeds L1 = (max - min)/2 of all pairwise similarities in the cluster.
 AR2 skips on a gamma-weighted Jaccard of 1..n-gram sets above the l2
 threshold. Both comparisons are strict.
+
+What select needs beyond the ranking (the AR1 threshold, pairwise cosines,
+n-gram sets, AR2 similarities) does not change across the cells of a sweep;
+a SelectionState holds it for one cluster and computes each piece once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .centrality import HIGHEST, CentralityResult
 from .corpus import SummaryBudget
@@ -58,16 +64,92 @@ def _ngrams(tokens, k: int) -> set:
     return {tuple(tokens[i:i + k]) for i in range(len(tokens) - k + 1)}
 
 
+def ngram_sets(tokens, n: int) -> tuple:
+    """The k-gram sets of tokens for k = 1..n."""
+    return tuple(_ngrams(tokens, k) for k in range(1, n + 1))
+
+
 def ngram_similarity(a: SentenceRecord, b: SentenceRecord,
-                     cfg: RedundancyConfig) -> float:
-    """Weighted Jaccard agreement of k-gram sets, k = 1..cfg.n."""
+                     cfg: RedundancyConfig, grams: tuple | None = None
+                     ) -> float:
+    """Weighted Jaccard agreement of k-gram sets, k = 1..cfg.n.
+
+    grams: the pair's ngram_sets(tokens, cfg.n), when already built.
+    """
+    if grams is None:
+        grams = (ngram_sets(a.tokens, cfg.n), ngram_sets(b.tokens, cfg.n))
     total = 0.0
-    for k in range(1, cfg.n + 1):
-        ga, gb = _ngrams(a.tokens, k), _ngrams(b.tokens, k)
-        union = len(ga | gb)
+    for k, (ga, gb) in enumerate(zip(*grams)):
+        common = len(ga & gb)
+        union = len(ga) + len(gb) - common
         if union:
-            total += cfg.gamma[k - 1] * len(ga & gb) / union
+            total += cfg.gamma[k] * common / union
     return total
+
+
+class SelectionState:
+    """Per-cluster inputs of select, filled lazily on first use.
+
+    Holds the AR1 threshold and the pairwise cosines it is computed from,
+    each sentence's n-gram sets, and the AR2 similarities of the pairs
+    compared so far, per RedundancyConfig. Build one per cluster and pass
+    it to select in place of the vectors; it must not outlive the cluster.
+    """
+
+    def __init__(self, sentences: list, vectors: dict | None = None):
+        self.sentences = sentences
+        self.vectors = vectors
+        self._pos = {rec.global_id: k for k, rec in enumerate(sentences)}
+        self._l1 = None
+        self._cosines = None
+        self._grams = {}
+        self._ar2 = {}
+
+    def _ar1_limit(self) -> float:
+        """The AR1 threshold; the first call computes every pairwise cosine
+        once and keeps them for the AR1 test."""
+        if self._l1 is None:
+            if self.vectors is None:
+                raise InvalidInput("AR1 needs the cluster's sentence vectors")
+            vecs = [self.vectors[rec.global_id] for rec in self.sentences]
+            n = len(vecs)
+            sims = [cosine(vecs[i], vecs[j])
+                    for i in range(n) for j in range(i + 1, n)]
+            self._l1 = ar1_threshold(sims)
+            upper = np.zeros((n, n))
+            upper[np.triu_indices(n, 1)] = sims
+            self._cosines = upper + upper.T
+        return self._l1
+
+    def redundancy_test(self, red: RedundancyConfig):
+        """test(candidate, selected) -> True when `red` skips the
+        candidate; None for method "none"."""
+        if red.method == "AR1":
+            l1 = self._ar1_limit()
+            cosines, pos = self._cosines, self._pos
+            return lambda a, b: \
+                cosines[pos[a.global_id], pos[b.global_id]] > l1
+        if red.method == "AR2":
+            memo = self._ar2.setdefault(red, {})
+
+            def test(a: SentenceRecord, b: SentenceRecord) -> bool:
+                pair = (a.global_id, b.global_id) \
+                    if a.global_id < b.global_id \
+                    else (b.global_id, a.global_id)
+                sim = memo.get(pair)
+                if sim is None:
+                    sim = memo[pair] = ngram_similarity(
+                        a, b, red, (self._ngram_sets(a, red.n),
+                                    self._ngram_sets(b, red.n)))
+                return sim > red.l2
+            return test
+        return None
+
+    def _ngram_sets(self, rec: SentenceRecord, n: int) -> tuple:
+        key = (rec.global_id, n)
+        if key not in self._grams:
+            self._grams[key] = ngram_sets(rec.tokens, n)
+        return self._grams[key]
 
 
 def word_count(text: str) -> int:
@@ -98,7 +180,8 @@ def _rank_order(sentences: list, ranking: CentralityResult) -> list:
 
 
 def select(sentences: list, ranking: CentralityResult, budget: SummaryBudget,
-           red: RedundancyConfig, vectors: dict | None = None,
+           red: RedundancyConfig,
+           vectors: dict | SelectionState | None = None,
            cluster_id: str = "") -> Summary:
     """Greedy selection in rank order under the budget.
 
@@ -106,17 +189,18 @@ def select(sentences: list, ranking: CentralityResult, budget: SummaryBudget,
     shorter candidates may still fit. Redundant candidates (per `red`) are
     skipped permanently. Empty-token sentences are never selected. Raises
     EmptySummary when nothing fits.
+
+    vectors: the sentences' {global_id: SentenceVector} (AR1 needs them),
+    or a SelectionState built for these sentences, which keeps what one
+    call computes for the next.
     """
     if budget.value <= 0:
         raise InvalidParameter("budget must be positive")
-    l1 = None
-    if red.method == "AR1":
-        if vectors is None:
-            raise InvalidInput("AR1 needs the cluster's sentence vectors")
-        sims = [cosine(vectors[a.global_id], vectors[b.global_id])
-                for i, a in enumerate(sentences)
-                for b in sentences[i + 1:]]
-        l1 = ar1_threshold(sims)
+    state = vectors if isinstance(vectors, SelectionState) \
+        else SelectionState(sentences, vectors)
+    if state.sentences is not sentences:
+        raise InvalidParameter("the selection state holds other sentences")
+    redundant = state.redundancy_test(red)
 
     kind, limit = resolve_budget(budget, sentences)
     by_id = {rec.global_id: rec for rec in sentences}
@@ -126,13 +210,8 @@ def select(sentences: list, ranking: CentralityResult, budget: SummaryBudget,
         rec = by_id[gid]
         if not rec.tokens:
             continue
-        if red.method == "AR1":
-            if any(cosine(vectors[gid], vectors[s.global_id]) > l1
-                   for s in chosen):
-                continue
-        elif red.method == "AR2":
-            if any(ngram_similarity(rec, s, red) > red.l2 for s in chosen):
-                continue
+        if redundant and any(redundant(rec, s) for s in chosen):
+            continue
         cost = word_count(rec.raw_text) if kind == "words" \
             else len(rec.raw_text) + (1 if chosen else 0)
         if used + cost > limit:

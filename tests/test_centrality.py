@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from netsumm.centrality import (ALL_MEASURES, HIGHEST, LOWEST,
                                 WalkParams, absorption_time, accessibility,
                                 all_lengths_matrix, avg_shortest_path,
                                 compute, degree, generalized_accessibility,
-                                pagerank, saw_probabilities, strength,
-                                symmetry)
+                                _true_diversity, pagerank,
+                                saw_probabilities, strength, symmetry)
 from netsumm.errors import ConvergenceError, InvalidParameter
 from netsumm.graph import apply_alpha, from_edges
 
@@ -142,6 +143,41 @@ def test_saw_matches_exact_enumeration():
         want = oracles.saw_distribution_exact(adj, start, h)
         # both sides do exact rational arithmetic: float values must agree
         assert got == {v: float(p) for v, p in want.items()}
+
+
+def test_accessibility_closed_form_matches_exact_enumeration():
+    # h <= 2 uses the matrix closed form; its probabilities must be the
+    # correctly rounded exact ones, so scores equal the oracle's bitwise
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        g = util.random_graph(rng, n_max=9)
+        adj = util.adjacency_dict(g)
+        for h in (1, 2):
+            got = accessibility(g, h).scores
+            for i in range(g.n_nodes):
+                want = oracles.saw_distribution_exact(adj, i, h)
+                probs = [float(want[v]) for v in sorted(want)]
+                assert got[i] == _true_diversity(probs)
+
+
+def test_accessibility_refuses_unbounded_h():
+    n = 30
+    k30 = from_edges(n, [i % 2 for i in range(n)],
+                     [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)],
+                     weighted=False)
+    start = time.perf_counter()
+    with pytest.raises(InvalidParameter, match="self-avoiding walks"):
+        accessibility(k30, 12)
+    with pytest.raises(InvalidParameter, match="self-avoiding walks"):
+        saw_probabilities(k30, 0, 12)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_walks_longer_than_the_graph_score_zero():
+    # a walk of h steps needs h + 1 distinct nodes
+    assert saw_probabilities(CYCLE4, 0, 4) == {}
+    assert accessibility(CYCLE4, 4).scores == {i: 0.0 for i in range(4)}
+    assert symmetry(CYCLE4, 4).scores == {i: 0.0 for i in range(4)}
 
 
 def test_accessibility_values():

@@ -161,3 +161,63 @@ def test_dump_graph_command(toy_path, tmp_path, capsys):
     assert len(lines) > 1
     assert not (out / "c02__a1__r0.2__edges.csv").exists()
     assert "edges" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value, written", [("false", False), ("0", False),
+                                            ("true", True), ("1", True),
+                                            ("False", False)])
+def test_config_booleans(toy_path, tmp_path, value, written):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dump-sim = {value}\ndump-graph = {value}\n"
+                   f"dump-scores = {value}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["summarize", "--corpus", str(toy_path), "--out", str(out),
+                 "--config", str(cfg), "--measure", "dg", "--alpha", "1.0",
+                 "--r", "0.2", "--ard", "none"]) == 0
+    assert (out / "c01__sim.csv").is_file() == written
+    assert (out / "c01__a1__edges.csv").is_file() == written
+    assert (out / "c01__dg__a1__r0.2__scores.csv").is_file() == written
+
+
+def test_config_boolean_flag_wins_over_false(toy_path, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dump-sim = false\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["summarize", "--corpus", str(toy_path), "--out", str(out),
+                 "--config", str(cfg), "--dump-sim", "--measure", "dg",
+                 "--alpha", "1.0", "--r", "0.2", "--ard", "none"]) == 0
+    assert (out / "c01__sim.csv").is_file()
+
+
+@pytest.mark.parametrize("key", ["dump-sim", "dump-graph", "dump-scores"])
+def test_config_bad_boolean_exits_1(toy_path, tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = no\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["summarize", "--corpus", str(toy_path), "--out", str(out),
+                 "--config", str(cfg), "--measure", "dg"]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_default_jobs_runs_one_cluster_in_process(tmp_path,
+                                                           monkeypatch):
+    from netsumm import evaluate
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started for one cluster")
+
+    monkeypatch.setattr(evaluate, "ProcessPoolExecutor", no_pool)
+    root = _mini_corpus(tmp_path)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--corpus", str(root), "--out", str(out)]
+                + EVAL_FLAGS) == 0
+    assert (out / "report.csv").is_file()
+
+
+def test_summarize_refuses_unbounded_h(toy_path, tmp_path, capsys):
+    assert main(["summarize", "--corpus", str(toy_path),
+                 "--out", str(tmp_path / "out"), "--measure", "access",
+                 "--alpha", "1.0", "--r", "0.1", "--ard", "none",
+                 "--h", "9"]) == 1
+    assert "self-avoiding walks" in capsys.readouterr().err

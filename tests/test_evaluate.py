@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 import oracles
-from netsumm.centrality import ALL_MEASURES, HIGHEST, CentralityResult
+from netsumm import centrality, evaluate, preprocess
+from netsumm.centrality import (ALL_MEASURES, HIGHEST, CentralityResult,
+                                WalkParams)
 from netsumm.corpus import SummaryBudget
-from netsumm.errors import InvalidParameter, InvalidReference
+from netsumm.errors import (ConvergenceError, InvalidParameter,
+                            InvalidReference, SingularMatrix)
 from netsumm.evaluate import (DEFAULT_ALPHAS, DEFAULT_RS, CorrelationMatrix,
                               EvaluationReport, SweepGrid, SweepRow,
                               _corr_point, rouge1_recall, rouge_tokens,
@@ -158,6 +161,67 @@ def test_run_sweep_skips_impossible_cells(toy_corpus):
         assert row.rouge1 is None
         assert row.per_cluster[0][2] == "skip:EmptySummary"
     assert report.best == ()
+
+
+def _fail_in_cluster(monkeypatch, cluster_id, measure, exc):
+    """Make centrality.compute raise exc for one measure of one cluster."""
+    current = {}
+    build_sentences = preprocess.build_sentences
+    compute = centrality.compute
+
+    def tracking(cluster, res):
+        current["id"] = cluster.id
+        return build_sentences(cluster, res)
+
+    def failing(m, g, params=WalkParams()):
+        if m == measure and current["id"] == cluster_id:
+            raise exc
+        return compute(m, g, params)
+
+    monkeypatch.setattr(preprocess, "build_sentences", tracking)
+    monkeypatch.setattr(centrality, "compute", failing)
+
+
+def test_run_sweep_isolates_centrality_failures(toy_corpus, monkeypatch):
+    _fail_in_cluster(monkeypatch, "c02", "pr",
+                     ConvergenceError("no convergence", 7))
+    grid = SweepGrid(alphas=(0.5, 1.0), rs=(0.2, 0.3),
+                     measures=("dg", "pr", "stg"), ards=("none", "AR1"))
+    report = run_sweep(toy_corpus, grid)
+    assert len(report.rows) == len(list(grid.cells()))
+    for row in report.rows:
+        cells = {cid: (score, note) for cid, score, note in row.per_cluster}
+        assert cells["c01"][0] is not None
+        if row.measure == "pr":
+            assert cells["c02"] == (None, "skip:ConvergenceError")
+            assert row.rouge1 == cells["c01"][0]
+        else:
+            assert cells["c02"][0] is not None
+    # c02 has no pr ranking: the averaged correlations fall back to c01's
+    corr = report.correlations
+    assert corr.labels == ("dg", "pr", "stg")
+    assert not np.isnan(corr.values).any()
+
+
+def test_run_sweep_isolates_a_failing_sym(toy_corpus, monkeypatch):
+    _fail_in_cluster(monkeypatch, "c01", "sym", SingularMatrix("singular"))
+    grid = SweepGrid(alphas=(1.0,), rs=(0.3,),
+                     measures=("sym", "sym_low", "dg"), ards=("none",))
+    report = run_sweep(toy_corpus, grid)
+    notes = {row.measure: row.per_cluster[0] for row in report.rows}
+    assert notes["sym"] == ("c01", None, "skip:SingularMatrix")
+    assert notes["sym_low"] == ("c01", None, "skip:SingularMatrix")
+    assert notes["dg"][1] is not None
+
+
+def test_run_sweep_caps_jobs_at_cluster_count(toy_corpus, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started for one cluster")
+
+    monkeypatch.setattr(evaluate, "ProcessPoolExecutor", no_pool)
+    report = run_sweep(toy_corpus[:1], SMALL, jobs=8)
+    assert report.cluster_ids == ("c01",)
+    assert all(row.rouge1 is not None for row in report.rows)
 
 
 def test_run_sweep_single_measure_has_no_correlations(toy_corpus):

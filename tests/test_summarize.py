@@ -6,9 +6,10 @@ from netsumm.centrality import CentralityResult, HIGHEST, LOWEST
 from netsumm.corpus import SummaryBudget
 from netsumm.errors import EmptySummary, InvalidInput, InvalidParameter
 from netsumm.preprocess import SentenceRecord
-from netsumm.summarize import (RedundancyConfig, ar1_threshold,
-                               ngram_similarity, resolve_budget, select,
-                               word_count)
+from netsumm import summarize
+from netsumm.summarize import (RedundancyConfig, SelectionState,
+                               ar1_threshold, ngram_sets, ngram_similarity,
+                               resolve_budget, select, word_count)
 
 
 def rec(gid, layer, pos, text):
@@ -156,6 +157,70 @@ def test_select_ar2_skips_near_duplicates():
     out = select(records, ranking, SummaryBudget("words", 10_000),
                  RedundancyConfig("AR2"))
     assert not (a in out.selected and b in out.selected)
+
+
+def _random_rankings(rng, records, count):
+    return [CentralityResult("dg", {r.global_id: float(rng.integers(0, 4))
+                                    for r in records}, HIGHEST)
+            for _ in range(count)]
+
+
+def test_ngram_similarity_with_prebuilt_sets():
+    cfg = RedundancyConfig("AR2")
+    a = rec(0, 0, 0, "river flood town rescue crews")
+    b = rec(1, 1, 0, "river flood town storm")
+    grams = (ngram_sets(a.tokens, cfg.n), ngram_sets(b.tokens, cfg.n))
+    assert ngram_similarity(a, b, cfg, grams) == ngram_similarity(a, b, cfg)
+
+
+def test_selection_state_gives_the_same_summaries():
+    rng = np.random.default_rng(53)
+    records, _ = util.random_records(rng, n_sentences=14, dup_pairs=3)
+    vectors = util.vectors_for(records)
+    state = SelectionState(records, vectors)
+    budget = SummaryBudget("words", 25)
+    for ranking in _random_rankings(rng, records, 12):
+        for red in (RedundancyConfig(), RedundancyConfig("AR1"),
+                    RedundancyConfig("AR2"), RedundancyConfig("AR2", l2=0.3)):
+            assert select(records, ranking, budget, red, state) == \
+                select(records, ranking, budget, red, vectors)
+
+
+def test_selection_state_computes_each_piece_once(monkeypatch):
+    rng = np.random.default_rng(59)
+    records, _ = util.random_records(rng, n_sentences=12, dup_pairs=2)
+    calls = {"cosine": 0, "ar2": []}
+    cosine, similarity = summarize.cosine, summarize.ngram_similarity
+
+    def counted_cosine(a, b):
+        calls["cosine"] += 1
+        return cosine(a, b)
+
+    def counted_similarity(a, b, cfg, grams=None):
+        calls["ar2"].append(frozenset((a.global_id, b.global_id)))
+        return similarity(a, b, cfg, grams)
+
+    monkeypatch.setattr(summarize, "cosine", counted_cosine)
+    monkeypatch.setattr(summarize, "ngram_similarity", counted_similarity)
+    state = SelectionState(records, util.vectors_for(records))
+    budget = SummaryBudget("words", 10_000)
+    for ranking in _random_rankings(rng, records, 20):
+        select(records, ranking, budget, RedundancyConfig("AR1"), state)
+        select(records, ranking, budget, RedundancyConfig("AR2"), state)
+    n = len(records)
+    assert calls["cosine"] == n * (n - 1) // 2   # the threshold pool only
+    assert calls["ar2"]
+    assert len(calls["ar2"]) == len(set(calls["ar2"]))
+
+
+def test_select_rejects_a_state_of_other_sentences():
+    rng = np.random.default_rng(61)
+    records, _ = util.random_records(rng)
+    state = SelectionState(list(records))
+    ranking = util.ranking_preferring(records, [])
+    with pytest.raises(InvalidParameter):
+        select(records, ranking, SummaryBudget("words", 50),
+               RedundancyConfig(), state)
 
 
 def test_word_count():
