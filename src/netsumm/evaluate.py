@@ -263,9 +263,9 @@ def run_sweep(clusters: list, grid: SweepGrid = SweepGrid(),
 
     Clusters run in `jobs` worker processes, at most one per cluster; with
     one, in this process. Emits one row per admissible cell with the
-    per-cluster scores and their arithmetic mean, a per-measure best table, and the Spearman correlation
-    matrix averaged entrywise over clusters (see _corr_point for the
-    snapshot the correlations are taken at).
+    per-cluster scores and their arithmetic mean, a per-measure best table,
+    and the Spearman correlation matrix averaged entrywise over clusters
+    (see _corr_point for the snapshot the correlations are taken at).
     """
     if not clusters:
         raise InvalidParameter("no clusters to evaluate")

@@ -53,11 +53,12 @@ class RedundancyConfig:
             raise InvalidParameter("gamma weights must be >= 0")
 
 
-def ar1_threshold(sims: list) -> float:
-    """(max - min) / 2 over the pairwise similarity pool."""
-    if not sims:
+def ar1_threshold(sims) -> float:
+    """(max - min) / 2 over the pairwise similarity pool (a sequence or an
+    array)."""
+    if len(sims) == 0:
         raise InvalidInput("need similarities from at least 2 sentences")
-    return (max(sims) - min(sims)) / 2.0
+    return (float(np.max(sims)) - float(np.min(sims))) / 2.0
 
 
 def _ngrams(tokens, k: int) -> set:
@@ -113,12 +114,16 @@ class SelectionState:
                 raise InvalidInput("AR1 needs the cluster's sentence vectors")
             vecs = [self.vectors[rec.global_id] for rec in self.sentences]
             n = len(vecs)
-            sims = [cosine(vecs[i], vecs[j])
-                    for i in range(n) for j in range(i + 1, n)]
+            sims = np.fromiter((cosine(vecs[i], vecs[j])
+                                for i in range(n) for j in range(i + 1, n)),
+                               float, count=n * (n - 1) // 2)
             self._l1 = ar1_threshold(sims)
-            upper = np.zeros((n, n))
-            upper[np.triu_indices(n, 1)] = sims
-            self._cosines = upper + upper.T
+            self._cosines = np.zeros((n, n))
+            start = 0
+            for i in range(n - 1):
+                row = sims[start:start + n - 1 - i]
+                self._cosines[i, i + 1:] = self._cosines[i + 1:, i] = row
+                start += n - 1 - i
         return self._l1
 
     def redundancy_test(self, red: RedundancyConfig):
