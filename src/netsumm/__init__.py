@@ -20,8 +20,9 @@ from .errors import (ClusterTooSmall, ConvergenceError, CorpusFormatError,
                      DegenerateCluster, EmptyCorpus, EmptyGraph, EmptySummary,
                      InvalidInput, InvalidParameter, InvalidReference,
                      NetsummError, SingularMatrix)
-from .evaluate import (CorrelationMatrix, EvaluationReport, SweepGrid,
-                       rouge1_recall, run_sweep, spearman_matrix)
+from .evaluate import (CorrelationMatrix, EvaluationReport, PreparedCluster,
+                       SweepGrid, prepare_cluster, rouge1_recall, run_sweep,
+                       spearman_matrix)
 from .graph import (Edge, GraphParams, MultilayerGraph, apply_alpha, build,
                     from_edges, remove_weakest)
 from .preprocess import (LanguageResources, SentenceRecord, build_sentences,

@@ -92,7 +92,7 @@ class StochasticMatrix:
 
     @classmethod
     def from_graph(cls, g: MultilayerGraph) -> "StochasticMatrix":
-        a = _weight_matrix(g)
+        a = _weights(g)
         sums = a.sum(axis=1)
         p = np.full((g.n_nodes, g.n_nodes), 1.0 / g.n_nodes)
         nz = sums > 0
@@ -100,22 +100,15 @@ class StochasticMatrix:
         return cls(p)
 
 
-def _weight_matrix(g: MultilayerGraph) -> np.ndarray:
-    """Dense symmetric weight matrix (1s when the graph is unweighted)."""
-    a = np.zeros((g.n_nodes, g.n_nodes))
-    for e in g.edges:
-        w = e.weight if g.weighted else 1.0
-        a[e.u, e.v] = w
-        a[e.v, e.u] = w
-    return a
+def _weights(g: MultilayerGraph) -> np.ndarray:
+    """The weights a measure reads: W, or its 0/1 pattern when the graph is
+    flagged unweighted."""
+    return g.W if g.weighted else (g.W > 0) * 1.0
 
 
-def _neighbour_sets(g: MultilayerGraph) -> list:
-    nbrs = [set() for _ in range(g.n_nodes)]
-    for e in g.edges:
-        nbrs[e.u].add(e.v)
-        nbrs[e.v].add(e.u)
-    return nbrs
+def _neighbours(g: MultilayerGraph) -> list:
+    """Per-node neighbour sets, each filled in ascending node order."""
+    return [set(np.flatnonzero(row).tolist()) for row in g.W]
 
 
 def _true_diversity(probabilities) -> float:
@@ -133,20 +126,16 @@ def _true_diversity(probabilities) -> float:
 # static measures
 
 def degree(g: MultilayerGraph) -> CentralityResult:
-    scores = {i: 0.0 for i in range(g.n_nodes)}
-    for e in g.edges:
-        scores[e.u] += 1.0
-        scores[e.v] += 1.0
-    return CentralityResult("dg", scores, HIGHEST)
+    degs = (g.W > 0).sum(axis=1)
+    return CentralityResult("dg", dict(enumerate(degs.astype(float).tolist())),
+                            HIGHEST)
 
 
 def strength(g: MultilayerGraph) -> CentralityResult:
-    scores = {i: 0.0 for i in range(g.n_nodes)}
-    for e in g.edges:
-        w = e.weight if g.weighted else 1.0
-        scores[e.u] += w
-        scores[e.v] += w
-    return CentralityResult("stg", scores, HIGHEST)
+    # summed left to right in neighbour order, edge by edge; numpy's
+    # pairwise row sum can differ in the last bit
+    sums = np.cumsum(_weights(g), axis=1)[:, -1]
+    return CentralityResult("stg", dict(enumerate(sums.tolist())), HIGHEST)
 
 
 def avg_shortest_path(g: MultilayerGraph, weighted: bool) -> CentralityResult:
@@ -161,14 +150,10 @@ def avg_shortest_path(g: MultilayerGraph, weighted: bool) -> CentralityResult:
     measure = "sp_w" if weighted else "sp"
     if n < 2:
         return CentralityResult(measure, {i: 0.0 for i in range(n)}, LOWEST)
-    rows, cols, vals = [], [], []
-    for e in g.edges:
-        w = e.weight if g.weighted else 1.0
-        length = 1.0 / w if weighted else 1.0
-        rows += [e.u, e.v]
-        cols += [e.v, e.u]
-        vals += [length, length]
-    mat = csr_matrix((vals, (rows, cols)), shape=(n, n))
+    a = _weights(g)
+    lengths = np.divide(1.0, a, out=np.zeros_like(a), where=a > 0) \
+        if weighted else (a > 0) * 1.0
+    mat = csr_matrix(lengths)
     dist = _sp_shortest_path(mat, method="D", directed=False,
                              unweighted=not weighted)
     off = dist[~np.eye(n, dtype=bool)]
@@ -188,7 +173,7 @@ def pagerank(g: MultilayerGraph, weighted: bool,
     """Power iteration for pi = gamma * M * pi + beta * 1 with
     M[i, j] = w_ij / s_j (weight 1 when unweighted)."""
     n = g.n_nodes
-    a = _weight_matrix(g) if weighted else (_weight_matrix(g) > 0) * 1.0
+    a = _weights(g) if weighted else (g.W > 0) * 1.0
     col = a.sum(axis=0)
     m = np.zeros((n, n))
     nz = col > 0
@@ -259,9 +244,14 @@ def saw_probabilities(g: MultilayerGraph, start: int, h: int) -> dict:
         raise InvalidParameter(f"h must be >= 1, got {h}")
     if h >= g.n_nodes:
         return {}  # a walk of h steps visits h + 1 distinct nodes
-    nbrs = _neighbour_sets(g)
+    nbrs = _neighbours(g)
     _check_walk_count(nbrs, [start], h)
-    split = _split_factors(g.n_nodes, max(len(s) for s in nbrs), h)
+    return _saw_endpoints(nbrs, start, h, _split_factors(
+        g.n_nodes, max(len(s) for s in nbrs), h))
+
+
+def _saw_endpoints(nbrs: list, start: int, h: int, split: list) -> dict:
+    """saw_probabilities over prebuilt neighbour sets and split factors."""
     mass: dict = {}
     total = 0.0
 
@@ -298,12 +288,13 @@ def accessibility(g: MultilayerGraph, h: int) -> CentralityResult:
     if h >= n:
         return CentralityResult("access", {i: 0.0 for i in range(n)}, HIGHEST)
     if h > 2:
-        nbrs = _neighbour_sets(g)
+        nbrs = _neighbours(g)
         _check_walk_count(nbrs, range(n), h)
+        split = _split_factors(n, max(len(s) for s in nbrs), h)
         return CentralityResult("access", {
-            i: _true_diversity(saw_probabilities(g, i, h).values())
+            i: _true_diversity(_saw_endpoints(nbrs, i, h, split).values())
             for i in range(n)}, HIGHEST)
-    a = (_weight_matrix(g) > 0) * 1.0
+    a = (g.W > 0) * 1.0
     deg = a.sum(axis=1).astype(int)
     if h == 1:
         mass = a
@@ -349,13 +340,10 @@ def generalized_accessibility(g: MultilayerGraph,
     """
     p_inf = all_lengths_matrix(StochasticMatrix.from_graph(g),
                                params.series_tolerance)
-    degs = {i: 0 for i in range(g.n_nodes)}
-    for e in g.edges:
-        degs[e.u] += 1
-        degs[e.v] += 1
+    linked = g.W.any(axis=1)
     scores = {}
     for i in range(g.n_nodes):
-        scores[i] = _true_diversity(p_inf.p[i]) if degs[i] else -math.inf
+        scores[i] = _true_diversity(p_inf.p[i]) if linked[i] else -math.inf
     return CentralityResult("gAccess", scores, HIGHEST)
 
 
@@ -394,7 +382,7 @@ def symmetry(g: MultilayerGraph, h: int) -> CentralityResult:
     n = g.n_nodes
     if h >= n:
         return CentralityResult("sym", {i: 0.0 for i in range(n)}, HIGHEST)
-    nbrs = _neighbour_sets(g)
+    nbrs = _neighbours(g)
     split = _split_factors(n, max(len(s) for s in nbrs), h)
     scores = {}
     for i in range(n):
@@ -431,49 +419,32 @@ def sym_low_from(sym: CentralityResult) -> CentralityResult:
 # ---------------------------------------------------------------------------
 # absorption time
 
-def _transition_dense(g: MultilayerGraph) -> np.ndarray:
-    return StochasticMatrix.from_graph(g).p
-
-
-def absorption_time(g: MultilayerGraph, transposed: bool = False
-                    ) -> CentralityResult:
+def absorption_time(g: MultilayerGraph) -> CentralityResult:
     """Mean number of random-walk steps to absorption.
 
     For each node i, i is made absorbing inside its connected component and
     t_k solves (I - Theta) t = 1 over the remaining component nodes;
     tau_i is the mean of t. Lower is more central. Nodes in singleton
-    components get +inf. `transposed` switches to the alternate reading
-    where tau_i averages the times from i to every other absorbing node.
+    components get +inf.
     """
-    p = _transition_dense(g)
+    p = StochasticMatrix.from_graph(g).p
     tau = {i: math.inf for i in range(g.n_nodes)}
     for comp in connected_components(g):
         if len(comp) < 2:
             continue
         size = len(comp)
-        pos = {v: k for k, v in enumerate(comp)}
         sub = p[np.ix_(comp, comp)]
-        # hitting[k, i] = expected steps from comp[k] to absorbing comp[i]
-        hitting = np.zeros((size, size))
         eye = np.eye(size - 1)
-        for i in comp:
-            others = [v for v in comp if v != i]
-            theta = sub[np.ix_([pos[v] for v in others],
-                               [pos[v] for v in others])]
+        for k, i in enumerate(comp):
+            others = [x for x in range(size) if x != k]
+            theta = sub[np.ix_(others, others)]
             try:
+                # t[x] = expected steps from comp[others[x]] to absorbing i
                 t = np.linalg.solve(eye - theta, np.ones(size - 1))
             except np.linalg.LinAlgError:
                 raise SingularMatrix(
                     f"absorption system singular for node {i}") from None
-            for v, tv in zip(others, t):
-                hitting[pos[v], pos[i]] = tv
-        for i in comp:
-            k = pos[i]
-            if transposed:
-                vals = [hitting[k, pos[j]] for j in comp if j != i]
-            else:
-                vals = [hitting[pos[j], k] for j in comp if j != i]
-            tau[i] = float(sum(vals) / (size - 1))
+            tau[i] = float(sum(t) / (size - 1))
     return CentralityResult("absT", tau, LOWEST)
 
 

@@ -5,8 +5,9 @@ Subcommands:
   evaluate    run the sweep and write report.csv / best.csv / correlations.csv
   dump-graph  export a cluster's edge list as CSV
 
-A flat ``key = value`` config file (--config) can hold any long option;
-explicit command-line flags win over config values.
+A flat ``key = value`` config file (--config) can hold any long option of
+the subcommand, and nothing else; explicit command-line flags win over
+config values.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import centrality, evaluate, graph, preprocess, summarize, tfidf
+import numpy as np
+
+from . import centrality, evaluate, graph, summarize
 from .centrality import WEIGHTED_MEASURES, WalkParams
 from .corpus import load_corpus, parse_budget, parse_manifest
 from .errors import NetsummError
@@ -32,8 +35,17 @@ def _comma_list(text: str) -> list:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _float_list(text: str) -> tuple:
-    return tuple(float(part) for part in _comma_list(text))
+def _number(key: str, text, kind=float):
+    """text as an int or float; anything else is an error naming key."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise NetsummError(f"{key} must be {what}, got {text!r}") from None
+
+
+def _float_list(key: str, text: str) -> tuple:
+    return tuple(_number(key, part) for part in _comma_list(text))
 
 
 def _add_common(sub):
@@ -45,9 +57,8 @@ def _add_common(sub):
     sub.add_argument("--r", help="comma list of edge-removal fractions")
     sub.add_argument("--measure", help="comma list of measure ids")
     sub.add_argument("--ard", help="comma list of none|AR1|AR2")
-    sub.add_argument("--h", type=int,
-                     help="walk length / level depth (default 2)")
-    sub.add_argument("--jobs", type=int,
+    sub.add_argument("--h", help="walk length / level depth (default 2)")
+    sub.add_argument("--jobs",
                      help="parallel cluster workers (default: CPU count, "
                           "at most one per cluster)")
 
@@ -96,6 +107,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise NetsummError(f"config file {cfg_path} not found")
         merged.update(parse_manifest(
             cfg_path.read_text(encoding="utf-8"), str(cfg_path)))
+        options = {key.replace("_", "-") for key in vars(args)} \
+            - {"command", "config"}
+        for key in merged:
+            if key not in options:
+                raise NetsummError(
+                    f"{cfg_path}: unknown key {key!r}; {args.command} takes "
+                    f"{', '.join(sorted(options))}")
         for key in _BOOLEAN_KEYS:
             if key in merged:
                 value = _BOOLEANS.get(merged[key].lower())
@@ -112,16 +130,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _opt(merged: dict, key: str, default=None):
-    return merged.get(key, default)
-
-
 def _grid_from(merged: dict) -> evaluate.SweepGrid:
     kwargs = {}
     if "alpha" in merged:
-        kwargs["alphas"] = _float_list(str(merged["alpha"]))
+        kwargs["alphas"] = _float_list("alpha", str(merged["alpha"]))
     if "r" in merged:
-        kwargs["rs"] = _float_list(str(merged["r"]))
+        kwargs["rs"] = _float_list("r", str(merged["r"]))
     if "measure" in merged:
         kwargs["measures"] = tuple(_comma_list(str(merged["measure"])))
     if "ard" in merged:
@@ -131,21 +145,21 @@ def _grid_from(merged: dict) -> evaluate.SweepGrid:
 
 def _walk_params(merged: dict) -> WalkParams:
     if "h" in merged:
-        return WalkParams(h=int(merged["h"]))
+        return WalkParams(h=_number("h", merged["h"], int))
     return WalkParams()
 
 
 def _load(merged: dict) -> list:
-    corpus_path = _opt(merged, "corpus")
+    corpus_path = merged.get("corpus")
     if not corpus_path or not Path(corpus_path).is_dir():
         print(f"error: corpus path {corpus_path!r} does not exist",
               file=sys.stderr)
         raise SystemExit(EXIT_BAD_CORPUS)
     clusters = load_corpus(corpus_path)
-    lang = _opt(merged, "lang")
+    lang = merged.get("lang")
     if lang:
         clusters = [replace(c, language=lang) for c in clusters]
-    budget = _opt(merged, "budget")
+    budget = merged.get("budget")
     if budget:
         parsed = parse_budget(str(budget))
         clusters = [replace(c, budget=parsed) for c in clusters]
@@ -153,17 +167,13 @@ def _load(merged: dict) -> list:
 
 
 def _out_dir(merged: dict) -> Path:
-    out = _opt(merged, "out")
+    out = merged.get("out")
     if not out:
         print("error: --out directory is required", file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _fmt_r(r) -> str:
-    return "--" if r is None else f"{r:g}"
 
 
 def cmd_summarize(merged: dict) -> int:
@@ -173,18 +183,12 @@ def cmd_summarize(merged: dict) -> int:
                           "measure": "dg", "ard": "none"}, **merged})
     params = _walk_params(merged)
     for cluster in clusters:
-        res = preprocess.load_resources(cluster.language)
-        records = preprocess.build_sentences(cluster, res)
-        model = tfidf.fit(records, len(cluster.documents))
-        vectors = [tfidf.vectorize(rec, model) for rec in records]
-        state = summarize.SelectionState(
-            records, {v.sentence_id: v for v in vectors})
-        base = graph.build(vectors, [rec.layer_index for rec in records])
+        prepared = evaluate.prepare_cluster(cluster)
         sym = None  # alpha-invariant: computed once per cluster
         if merged.get("dump-sim"):
-            _write_sim(out / f"{cluster.id}__sim.csv", vectors)
+            _write_sim(out / f"{cluster.id}__sim.csv", prepared)
         for alpha in grid.alphas:
-            g_alpha = graph.apply_alpha(base, alpha)
+            g_alpha = graph.apply_alpha(prepared.base, alpha)
             if merged.get("dump-graph"):
                 _write_edges(out / f"{cluster.id}__a{alpha:g}__edges.csv",
                              g_alpha)
@@ -195,24 +199,24 @@ def cmd_summarize(merged: dict) -> int:
                 for r, g_var in variants:
                     if measure in ("sym", "sym_low"):
                         if sym is None:
-                            sym = centrality.compute("sym", base, params)
+                            sym = centrality.compute("sym", prepared.base,
+                                                     params)
                         ranking = sym if measure == "sym" \
                             else centrality.sym_low_from(sym)
                     else:
                         ranking = centrality.compute(measure, g_var, params)
+                    stem = (f"{cluster.id}__{measure}__a{alpha:g}"
+                            f"__r{evaluate.fmt_r(r)}")
                     if merged.get("dump-scores"):
-                        _write_scores(
-                            out / f"{cluster.id}__{measure}__a{alpha:g}"
-                                  f"__r{_fmt_r(r)}__scores.csv", ranking)
+                        _write_scores(out / f"{stem}__scores.csv", ranking)
                     for ard in grid.ards:
                         summ = summarize.select(
-                            records, ranking, cluster.budget,
+                            prepared.records, ranking, cluster.budget,
                             summarize.RedundancyConfig(method=ard),
-                            vectors=state, cluster_id=cluster.id)
-                        name = (f"{cluster.id}__{measure}__a{alpha:g}"
-                                f"__r{_fmt_r(r)}__{ard}.txt")
-                        (out / name).write_text(summ.text + "\n", "utf-8")
-                        print(f"wrote {out / name} "
+                            vectors=prepared.state, cluster_id=cluster.id)
+                        path = out / f"{stem}__{ard}.txt"
+                        path.write_text(summ.text + "\n", "utf-8")
+                        print(f"wrote {path} "
                               f"({summ.budget_used} {cluster.budget.kind})")
     return EXIT_OK
 
@@ -227,9 +231,10 @@ def cmd_evaluate(merged: dict) -> int:
     out = _out_dir(merged)
     grid = _grid_from(merged)
     params = _walk_params(merged)
-    jobs = int(_opt(merged, "jobs", 0)) or (os.cpu_count() or 1)
+    jobs = _number("jobs", merged.get("jobs", 0), int) \
+        or (os.cpu_count() or 1)
     report = evaluate.run_sweep(clusters, grid, params,
-                                aggregate=_opt(merged, "aggregate", "mean"),
+                                aggregate=merged.get("aggregate", "mean"),
                                 jobs=jobs)
     evaluate.write_report_csv(report, out / "report.csv")
     evaluate.write_best_csv(report, out / "best.csv")
@@ -243,41 +248,37 @@ def cmd_evaluate(merged: dict) -> int:
 def cmd_dump_graph(merged: dict) -> int:
     clusters = _load(merged)
     out = _out_dir(merged)
-    only = _opt(merged, "cluster")
-    alpha = float(_opt(merged, "alpha", 1.0))
+    only = merged.get("cluster")
+    alpha = _number("alpha", merged.get("alpha", 1.0))
     r = merged.get("r")
+    if r is not None:
+        r = _number("r", r)
     for cluster in clusters:
         if only and cluster.id != only:
             continue
-        res = preprocess.load_resources(cluster.language)
-        records = preprocess.build_sentences(cluster, res)
-        model = tfidf.fit(records, len(cluster.documents))
-        vectors = [tfidf.vectorize(rec, model) for rec in records]
-        g = graph.apply_alpha(
-            graph.build(vectors, [rec.layer_index for rec in records]), alpha)
+        g = graph.apply_alpha(evaluate.prepare_cluster(cluster).base, alpha)
         suffix = f"__a{alpha:g}"
         if r is not None:
-            g = graph.remove_weakest(g, float(r))
-            suffix += f"__r{float(r):g}"
-        _write_edges(out / f"{cluster.id}{suffix}__edges.csv", g)
-        print(f"wrote {out / (cluster.id + suffix + '__edges.csv')} "
-              f"({len(g.edges)} edges)")
+            g = graph.remove_weakest(g, r)
+            suffix += f"__r{r:g}"
+        path = out / f"{cluster.id}{suffix}__edges.csv"
+        print(f"wrote {path} ({_write_edges(path, g)} edges)")
     return EXIT_OK
 
 
-def _write_edges(path: Path, g) -> None:
+def _write_edges(path: Path, g) -> int:
+    """Write g's edge list; returns the number of edges."""
     lines = ["i,j,weight,kind"]
     lines += [f"{e.u},{e.v},{e.weight:.10g},{e.kind}" for e in g.edges]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return len(lines) - 1
 
 
-def _write_sim(path: Path, vectors) -> None:
-    n = len(vectors)
-    lines = []
-    for i in range(n):
-        row = [f"{tfidf.cosine(vectors[i], vectors[j]):.6f}"
-               for j in range(n)]
-        lines.append(",".join(row))
+def _write_sim(path: Path, prepared: evaluate.PreparedCluster) -> None:
+    sims = prepared.base.W.copy()
+    # a sentence's cosine with itself: 1, or 0 for the zero vector
+    np.fill_diagonal(sims, [1.0 if v.norm else 0.0 for v in prepared.vectors])
+    lines = [",".join(f"{x:.6f}" for x in row) for row in sims.tolist()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -1,4 +1,5 @@
-"""ROUGE-1 recall scoring, the (alpha, r) sweep, and rank correlations.
+"""Cluster preparation, ROUGE-1 recall scoring, the (alpha, r) sweep, and
+rank correlations.
 
 The sweep evaluates every admissible (measure, alpha, r, anti-redundancy)
 cell over all clusters of a corpus. Weighted-graph measures do not use the
@@ -29,6 +30,32 @@ _ROUGE_TOKEN_RE = re.compile(r"[a-z0-9]+")
 DEFAULT_ALPHAS = (0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 1.7, 1.9)
 DEFAULT_RS = (0.1, 0.2, 0.3, 0.4, 0.5)
 DEFAULT_ARDS = ("none", "AR1", "AR2")
+
+
+@dataclass(frozen=True)
+class PreparedCluster:
+    """What every (alpha, r, measure, ard) cell of one cluster starts from.
+
+    vectors[i] is the tf-idf vector of records[i], node i of `base`; the
+    base graph's W holds every pairwise cosine, which `state` reads for AR1.
+    """
+
+    records: list
+    vectors: list
+    base: graph.MultilayerGraph
+    state: summarize.SelectionState
+
+
+def prepare_cluster(cluster: Cluster) -> PreparedCluster:
+    """Segment and normalize the cluster's sentences, vectorize them and
+    build the base graph (alpha 1, no edge removed)."""
+    res = preprocess.load_resources(cluster.language)
+    records = preprocess.build_sentences(cluster, res)
+    model = tfidf.fit(records, len(cluster.documents))
+    vectors = [tfidf.vectorize(rec, model) for rec in records]
+    base = graph.build(vectors, [rec.layer_index for rec in records])
+    return PreparedCluster(records, vectors, base,
+                           summarize.SelectionState(records, base.W))
 
 
 def rouge_tokens(text: str) -> list:
@@ -148,10 +175,6 @@ class EvaluationReport:
     best: tuple = field(default=())
 
 
-def _redundancy(ard: str) -> summarize.RedundancyConfig:
-    return summarize.RedundancyConfig(method=ard)
-
-
 def _corr_point(grid: SweepGrid) -> tuple:
     """(alpha, r) the per-cluster correlation snapshot is taken at:
     1.0 and 0.3 when the grid holds them, its midpoints otherwise."""
@@ -185,12 +208,7 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, params: WalkParams,
     """
     cells = {}
     try:
-        res = preprocess.load_resources(cluster.language)
-        records = preprocess.build_sentences(cluster, res)
-        model = tfidf.fit(records, len(cluster.documents))
-        vectors = [tfidf.vectorize(rec, model) for rec in records]
-        layers = [rec.layer_index for rec in records]
-        base = graph.build(vectors, layers)
+        prepared = prepare_cluster(cluster)
     except NetsummError as exc:
         note = f"skip:{type(exc).__name__}"
         for key in grid.cells():
@@ -204,19 +222,17 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, params: WalkParams,
         except NetsummError as exc:
             return f"skip:{type(exc).__name__}"
 
-    state = summarize.SelectionState(
-        records, {v.sentence_id: v for v in vectors})
     corr_alpha, corr_r = _corr_point(grid)
     corr_results = {}
     # sym reads edge presence only, which alpha leaves as it is
     alpha_free = {}
     if {"sym", "sym_low"} & set(grid.measures):
-        sym = rank("sym", base)
+        sym = rank("sym", prepared.base)
         alpha_free = {"sym": sym, "sym_low": sym if isinstance(sym, str)
                       else centrality.sym_low_from(sym)}
 
     for alpha in grid.alphas:
-        g_alpha = graph.apply_alpha(base, alpha)
+        g_alpha = graph.apply_alpha(prepared.base, alpha)
         rankings = {}
         for measure in grid.measures:
             if measure in alpha_free:
@@ -242,8 +258,9 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, params: WalkParams,
                     continue
                 try:
                     summ = summarize.select(
-                        records, ranking, cluster.budget, _redundancy(ard),
-                        vectors=state, cluster_id=cluster.id)
+                        prepared.records, ranking, cluster.budget,
+                        summarize.RedundancyConfig(method=ard),
+                        vectors=prepared.state, cluster_id=cluster.id)
                     score = rouge1_recall(summ.text, list(cluster.references),
                                           aggregate)
                     cells[(measure, alpha, r, ard)] = (score, "")
@@ -320,8 +337,13 @@ def _average_correlations(matrices: list, grid: SweepGrid
         if m.labels != labels:
             raise InvalidParameter("correlation labels differ across clusters")
     stack = np.stack([m.values for m in matrices])
-    with np.errstate(invalid="ignore"):
-        values = np.nanmean(stack, axis=0)
+    # np.nanmean's arithmetic, but a pair NaN in every cluster stays NaN
+    # without a "Mean of empty slice" warning
+    missing = np.isnan(stack)
+    counts = (~missing).sum(axis=0)
+    totals = np.where(missing, 0.0, stack).sum(axis=0)
+    values = np.divide(totals, counts, out=np.full(totals.shape, np.nan),
+                       where=counts > 0)
     np.fill_diagonal(values, 1.0)
     return CorrelationMatrix(labels, values)
 
@@ -329,7 +351,7 @@ def _average_correlations(matrices: list, grid: SweepGrid
 # ---------------------------------------------------------------------------
 # CSV emission
 
-def _fmt_r(r) -> str:
+def fmt_r(r) -> str:
     return "--" if r is None else f"{r:g}"
 
 
@@ -344,7 +366,7 @@ def write_report_csv(report: EvaluationReport, path) -> None:
         cells = []
         for _, score, note in row.per_cluster:
             cells.append(_fmt_score(score) if score is not None else note)
-        lines.append(f"{row.measure},{row.alpha:g},{_fmt_r(row.r)},{row.ard},"
+        lines.append(f"{row.measure},{row.alpha:g},{fmt_r(row.r)},{row.ard},"
                      f"{_fmt_score(row.rouge1)}," + ",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -352,7 +374,7 @@ def write_report_csv(report: EvaluationReport, path) -> None:
 def write_best_csv(report: EvaluationReport, path) -> None:
     lines = ["Meas.,α,r,ARD,RG-1"]
     for row in report.best:
-        lines.append(f"{row.measure},{row.alpha:g},{_fmt_r(row.r)},{row.ard},"
+        lines.append(f"{row.measure},{row.alpha:g},{fmt_r(row.r)},{row.ard},"
                      f"{_fmt_score(row.rouge1, 4)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -384,7 +406,7 @@ def write_curves(report: EvaluationReport, out_dir) -> list:
                 points[key] = row.rouge1
         lines = ["alpha,r,rouge1_mean"]
         for (alpha, r), mean in points.items():
-            lines.append(f"{alpha:g},{_fmt_r(r)},{_fmt_score(mean)}")
+            lines.append(f"{alpha:g},{fmt_r(r)},{_fmt_score(mean)}")
         path = out / f"curve_{measure}.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)

@@ -2,15 +2,19 @@
 removal of the weakest edges.
 
 Nodes are sentence ids 0..n-1, each tagged with the layer (document) it
-belongs to. Edges are undirected, stored once with i < j, and carry a
-positive weight plus a kind: "intra" (same layer) or "inter" (different
-layers). Graphs are immutable; every transform returns a new value.
+belongs to. The graph is one dense symmetric weight matrix W with a zero
+diagonal: W[i, j] > 0 is the weight of the undirected edge {i, j}, and the
+edge is "intra" when both ends share a layer, "inter" otherwise. Graphs are
+immutable (W is read-only); every transform returns a new value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.sparse.csgraph import connected_components as _cc_labels
 
 from .errors import EmptyGraph, InvalidInput, InvalidParameter
 from .tfidf import cosine
@@ -26,12 +30,29 @@ class Edge:
     kind: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultilayerGraph:
-    n_nodes: int
-    layer_of: tuple
-    edges: tuple
+    W: np.ndarray
+    layers: np.ndarray
     weighted: bool = True
+
+    def __post_init__(self):
+        self.W.flags.writeable = False
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.layers)
+
+    @property
+    def edges(self) -> tuple:
+        """Read-only Edge view, (u, v) ascending with u < v; W holds the
+        graph, this view serves CSV export."""
+        us, vs = np.nonzero(np.triu(self.W, 1))
+        layer = self.layers.tolist()
+        return tuple(
+            Edge(u, v, w, INTRA if layer[u] == layer[v] else INTER)
+            for u, v, w in zip(us.tolist(), vs.tolist(),
+                               self.W[us, vs].tolist()))
 
 
 @dataclass(frozen=True)
@@ -48,6 +69,17 @@ class GraphParams:
             raise InvalidParameter(f"r must be in [0, 1), got {self.r}")
 
 
+def cosine_matrix(vectors: list) -> np.ndarray:
+    """Pairwise tfidf.cosine of vectors, zero diagonal; each pair computed
+    once."""
+    n = len(vectors)
+    sims = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            sims[i, j] = sims[j, i] = cosine(vectors[i], vectors[j])
+    return sims
+
+
 def build(vectors: list, layers) -> MultilayerGraph:
     """Connect every sentence pair with cosine > 0.
 
@@ -55,50 +87,40 @@ def build(vectors: list, layers) -> MultilayerGraph:
     layers: mapping or sequence giving each sentence's layer index.
     """
     n = len(vectors)
-    layer_of = tuple(layers[i] for i in range(n))
+    layer_of = [layers[i] for i in range(n)]
     if n < 2 or len(set(layer_of)) < 2:
         raise InvalidInput(
             "need at least 2 sentences spanning at least 2 layers")
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = cosine(vectors[i], vectors[j])
-            if w > 0.0:
-                kind = INTRA if layer_of[i] == layer_of[j] else INTER
-                edges.append(Edge(i, j, w, kind))
-    if not edges:
+    w = cosine_matrix(vectors)
+    if not w.any():
         raise EmptyGraph("all pairwise similarities are zero")
-    return MultilayerGraph(n, layer_of, tuple(edges), weighted=True)
+    return MultilayerGraph(w, np.array(layer_of), weighted=True)
 
 
 def from_edges(n_nodes: int, layer_of, edge_tuples, weighted=True
                ) -> MultilayerGraph:
     """Assemble a graph from raw (i, j, weight) triples; kinds derived."""
-    layer_of = tuple(layer_of)
-    seen = set()
-    edges = []
-    for i, j, w in edge_tuples:
+    w = np.zeros((n_nodes, n_nodes))
+    for i, j, weight in edge_tuples:
         if i == j:
             raise InvalidInput(f"self-loop on node {i}")
-        if w <= 0:
-            raise InvalidInput(f"edge ({i},{j}) has non-positive weight {w}")
-        u, v = (i, j) if i < j else (j, i)
-        if (u, v) in seen:
-            raise InvalidInput(f"duplicate edge ({u},{v})")
-        seen.add((u, v))
-        kind = INTRA if layer_of[u] == layer_of[v] else INTER
-        edges.append(Edge(u, v, float(w), kind))
-    return MultilayerGraph(n_nodes, layer_of, tuple(edges), weighted)
+        if weight <= 0:
+            raise InvalidInput(
+                f"edge ({i},{j}) has non-positive weight {weight}")
+        if w[i, j]:
+            raise InvalidInput(f"duplicate edge ({min(i, j)},{max(i, j)})")
+        w[i, j] = w[j, i] = weight
+    return MultilayerGraph(w, np.array(list(layer_of)), weighted)
 
 
 def apply_alpha(g: MultilayerGraph, alpha: float) -> MultilayerGraph:
-    """Scale inter-layer weights by alpha; intra edges pass through as-is."""
+    """Scale inter-layer weights by alpha; intra weights pass through
+    as-is."""
     if alpha <= 0:
         raise InvalidParameter(f"alpha must be > 0, got {alpha}")
-    edges = tuple(
-        Edge(e.u, e.v, e.weight * alpha, e.kind) if e.kind == INTER else e
-        for e in g.edges)
-    return MultilayerGraph(g.n_nodes, g.layer_of, edges, g.weighted)
+    inter = g.layers[:, None] != g.layers[None, :]
+    w = np.where(inter, g.W * alpha, g.W)
+    return MultilayerGraph(w, g.layers, g.weighted)
 
 
 def remove_weakest(g: MultilayerGraph, r: float) -> MultilayerGraph:
@@ -109,41 +131,20 @@ def remove_weakest(g: MultilayerGraph, r: float) -> MultilayerGraph:
         raise InvalidInput("remove_weakest expects a weighted graph")
     if not 0 <= r < 1:
         raise InvalidParameter(f"r must be in [0, 1), got {r}")
+    us, vs = np.nonzero(np.triu(g.W, 1))
+    weights = g.W[us, vs]
     # epsilon guards products like 0.3 * 10 that land just below an integer
-    k = math.floor(r * len(g.edges) + 1e-9)
-    ordered = sorted(g.edges, key=lambda e: (e.weight, e.u, e.v))
-    survivors = frozenset((e.u, e.v) for e in ordered[k:])
-    edges = tuple(e for e in g.edges if (e.u, e.v) in survivors)
-    return MultilayerGraph(g.n_nodes, g.layer_of, edges, weighted=False)
-
-
-def adjacency(g: MultilayerGraph) -> list:
-    """Per-node dict neighbour -> weight (1.0 when the graph is unweighted)."""
-    adj = [dict() for _ in range(g.n_nodes)]
-    for e in g.edges:
-        w = e.weight if g.weighted else 1.0
-        adj[e.u][e.v] = w
-        adj[e.v][e.u] = w
-    return adj
+    k = math.floor(r * len(weights) + 1e-9)
+    drop = np.lexsort((vs, us, weights))[:k]
+    w = g.W.copy()
+    w[us[drop], vs[drop]] = w[vs[drop], us[drop]] = 0.0
+    return MultilayerGraph(w, g.layers, weighted=False)
 
 
 def connected_components(g: MultilayerGraph) -> list:
     """Components as sorted node lists, ordered by smallest member."""
-    adj = adjacency(g)
-    seen = [False] * g.n_nodes
-    comps = []
-    for start in range(g.n_nodes):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
+    _, labels = _cc_labels(g.W, directed=False)
+    comps: dict = {}
+    for node, label in enumerate(labels.tolist()):
+        comps.setdefault(label, []).append(node)
+    return list(comps.values())

@@ -8,7 +8,8 @@ threshold. Both comparisons are strict.
 
 What select needs beyond the ranking (the AR1 threshold, pairwise cosines,
 n-gram sets, AR2 similarities) does not change across the cells of a sweep;
-a SelectionState holds it for one cluster and computes each piece once.
+a SelectionState holds it for one cluster and computes each piece once. The
+pairwise cosines are the weights of the cluster's base graph.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graph
 from .centrality import HIGHEST, CentralityResult
 from .corpus import SummaryBudget
 from .errors import EmptySummary, InvalidInput, InvalidParameter
 from .preprocess import SentenceRecord
-from .tfidf import cosine
+from .tfidf import cosine  # noqa: F401  (a public name of this module)
 
 AR_METHODS = ("none", "AR1", "AR2")
 
@@ -91,39 +93,36 @@ def ngram_similarity(a: SentenceRecord, b: SentenceRecord,
 class SelectionState:
     """Per-cluster inputs of select, filled lazily on first use.
 
-    Holds the AR1 threshold and the pairwise cosines it is computed from,
+    Holds the pairwise cosines and the AR1 threshold computed from them,
     each sentence's n-gram sets, and the AR2 similarities of the pairs
     compared so far, per RedundancyConfig. Build one per cluster and pass
     it to select in place of the vectors; it must not outlive the cluster.
+
+    similarity: the sentences' pairwise cosines as an n x n array in
+    sentence order (the W of the cluster's base graph), or their
+    {global_id: SentenceVector}, from which graph.cosine_matrix computes the
+    array when AR1 first needs it.
     """
 
-    def __init__(self, sentences: list, vectors: dict | None = None):
+    def __init__(self, sentences: list,
+                 similarity: np.ndarray | dict | None = None):
         self.sentences = sentences
-        self.vectors = vectors
         self._pos = {rec.global_id: k for k, rec in enumerate(sentences)}
+        self._cosines = similarity
         self._l1 = None
-        self._cosines = None
         self._grams = {}
         self._ar2 = {}
 
     def _ar1_limit(self) -> float:
-        """The AR1 threshold; the first call computes every pairwise cosine
-        once and keeps them for the AR1 test."""
+        """The AR1 threshold over every sentence pair's cosine."""
         if self._l1 is None:
-            if self.vectors is None:
+            if self._cosines is None:
                 raise InvalidInput("AR1 needs the cluster's sentence vectors")
-            vecs = [self.vectors[rec.global_id] for rec in self.sentences]
-            n = len(vecs)
-            sims = np.fromiter((cosine(vecs[i], vecs[j])
-                                for i in range(n) for j in range(i + 1, n)),
-                               float, count=n * (n - 1) // 2)
-            self._l1 = ar1_threshold(sims)
-            self._cosines = np.zeros((n, n))
-            start = 0
-            for i in range(n - 1):
-                row = sims[start:start + n - 1 - i]
-                self._cosines[i, i + 1:] = self._cosines[i + 1:, i] = row
-                start += n - 1 - i
+            if isinstance(self._cosines, dict):
+                self._cosines = graph.cosine_matrix(
+                    [self._cosines[rec.global_id] for rec in self.sentences])
+            n = len(self.sentences)
+            self._l1 = ar1_threshold(self._cosines[np.triu_indices(n, 1)])
         return self._l1
 
     def redundancy_test(self, red: RedundancyConfig):

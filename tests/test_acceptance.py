@@ -190,7 +190,7 @@ def test_acceptance_5_alpha_scaling():
             out = apply_alpha(g, alpha)
             for before, after in zip(g.edges, out.edges):
                 if before.kind == INTRA:
-                    ok = ok and after is before
+                    ok = ok and after == before
                 else:
                     ok = ok and after.kind == INTER \
                         and after.weight == before.weight * alpha

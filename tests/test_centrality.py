@@ -271,20 +271,6 @@ def test_absorption_time_matches_fundamental_matrix():
                 assert got.scores[i] == pytest.approx(want[i], abs=1e-8)
 
 
-def test_absorption_time_transposed_reading():
-    normal = absorption_time(STAR)
-    alt = absorption_time(STAR, transposed=True)
-    # on the star the two readings swap roles: centre reaches any leaf
-    # slowly, leaves reach the centre in one step
-    assert alt.scores[0] == pytest.approx(5.0)
-    assert alt.scores[1] == pytest.approx((1 + 6 + 6) / 3)
-    assert normal.scores != alt.scores
-    # vertex-transitive graph: both readings coincide (up to solver noise)
-    a = absorption_time(CYCLE4).scores
-    b = absorption_time(CYCLE4, transposed=True).scores
-    assert all(a[i] == pytest.approx(b[i], abs=1e-12) for i in range(4))
-
-
 def test_compute_registry_dispatch():
     for measure in ALL_MEASURES:
         res = compute(measure, CYCLE4)

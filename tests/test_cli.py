@@ -221,3 +221,68 @@ def test_summarize_refuses_unbounded_h(toy_path, tmp_path, capsys):
                  "--alpha", "1.0", "--r", "0.1", "--ard", "none",
                  "--h", "9"]) == 1
     assert "self-avoiding walks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, cfg_text, key", [
+    ("summarize", [], "h = two\n", "h"),
+    ("summarize", ["--h", "2.5"], "", "h"),
+    ("evaluate", [], "jobs = many\n", "jobs"),
+    ("evaluate", ["--jobs", "x"], "", "jobs"),
+    ("summarize", ["--alpha", "1.0,big"], "", "alpha"),
+    ("evaluate", [], "alpha = big\n", "alpha"),
+    ("summarize", ["--r", "abc"], "", "r"),
+    ("evaluate", [], "r = 0.1,abc\n", "r"),
+    ("dump-graph", ["--alpha", "big"], "", "alpha"),
+    ("dump-graph", [], "r = abc\n", "r"),
+])
+def test_non_numeric_value_exits_1(tmp_path, capsys, command, flags,
+                                   cfg_text, key):
+    root = _mini_corpus(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--corpus", str(root), "--out", str(out),
+                 "--config", str(cfg)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key} must be" in err
+
+
+@pytest.mark.parametrize("command, key", [("summarize", "measures"),
+                                          ("evaluate", "budget"),
+                                          ("dump-graph", "measure")])
+def test_unknown_config_key_exits_1(tmp_path, capsys, command, key):
+    root = _mini_corpus(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = pr\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--corpus", str(root), "--out", str(out),
+                 "--config", str(cfg)]) == 1
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_evaluate_one_cluster_without_correlations_warns_nothing(tmp_path):
+    # every sentence of the mini corpus has degree 1, so the dg-stg
+    # correlation is NaN in its one cluster and NaN in the average
+    root = _mini_corpus(tmp_path)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--corpus", str(root), "--out", str(out),
+                 "--jobs", "1"] + EVAL_FLAGS) == 0
+    lines = (out / "correlations.csv").read_text(encoding="utf-8").split("\n")
+    assert lines[1:3] == ["dg,1.000000,", "stg,,1.000000"]
+
+
+def test_dump_sim_diagonal_of_an_empty_sentence_is_zero(tmp_path):
+    root = _mini_corpus(tmp_path)
+    (root / "c1" / "docs" / "a.txt").write_text(
+        "The river flooded the town. It was so. "
+        "Crews rescued stranded families.", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["summarize", "--corpus", str(root), "--out", str(out),
+                 "--measure", "stg", "--alpha", "1.0", "--dump-sim"]) == 0
+    rows = [line.split(",") for line in
+            (out / "c1__sim.csv").read_text(encoding="utf-8").splitlines()]
+    assert [row[k] for k, row in enumerate(rows)] == \
+        ["1.000000", "0.000000", "1.000000", "1.000000", "1.000000"]
+    assert set(rows[1]) == {"0.000000"}

@@ -4,9 +4,8 @@ import pytest
 import oracles
 import util
 from netsumm.errors import EmptyGraph, InvalidInput, InvalidParameter
-from netsumm.graph import (INTER, INTRA, GraphParams, adjacency, apply_alpha,
-                           build, connected_components, from_edges,
-                           remove_weakest)
+from netsumm.graph import (INTER, INTRA, GraphParams, apply_alpha, build,
+                           connected_components, from_edges, remove_weakest)
 from netsumm.preprocess import SentenceRecord
 from netsumm.tfidf import fit, vectorize
 
@@ -80,7 +79,7 @@ def test_apply_alpha_scales_only_inter():
     out = apply_alpha(g, 1.5)
     intra = [e for e in out.edges if e.kind == INTRA]
     inter = [e for e in out.edges if e.kind == INTER]
-    assert intra[0] is g.edges[0]          # same object, bit-for-bit
+    assert intra[0] == g.edges[0]          # same (u, v, weight, kind)
     assert inter[0].weight == 0.6 * 1.5
     with pytest.raises(InvalidParameter):
         apply_alpha(g, 0.0)
@@ -139,7 +138,8 @@ def test_remove_weakest_validation():
 
 def test_adjacency_and_components():
     g = from_edges(5, [0, 0, 1, 1, 0], [(0, 1, 0.5), (1, 2, 0.25)])
-    assert adjacency(g) == [{1: 0.5}, {0: 0.5, 2: 0.25}, {1: 0.25}, {}, {}]
+    assert g.W.tolist() == [[0, 0.5, 0, 0, 0], [0.5, 0, 0.25, 0, 0],
+                            [0, 0.25, 0, 0, 0], [0] * 5, [0] * 5]
     assert connected_components(g) == [[0, 1, 2], [3], [4]]
 
 

@@ -99,7 +99,7 @@ def test_apply_alpha_contract(g, alpha):
     assert out.n_nodes == g.n_nodes and len(out.edges) == len(g.edges)
     for before, after in zip(g.edges, out.edges):
         if before.kind == INTRA:
-            assert after is before
+            assert after == before
         else:
             assert after.kind == INTER
             assert after.weight == before.weight * alpha

@@ -6,7 +6,7 @@ from netsumm.centrality import CentralityResult, HIGHEST, LOWEST
 from netsumm.corpus import SummaryBudget
 from netsumm.errors import EmptySummary, InvalidInput, InvalidParameter
 from netsumm.preprocess import SentenceRecord
-from netsumm import summarize
+from netsumm import graph, summarize
 from netsumm.summarize import (RedundancyConfig, SelectionState,
                                ar1_threshold, ngram_sets, ngram_similarity,
                                resolve_budget, select, word_count)
@@ -190,7 +190,7 @@ def test_selection_state_computes_each_piece_once(monkeypatch):
     rng = np.random.default_rng(59)
     records, _ = util.random_records(rng, n_sentences=12, dup_pairs=2)
     calls = {"cosine": 0, "ar2": []}
-    cosine, similarity = summarize.cosine, summarize.ngram_similarity
+    cosine, similarity = graph.cosine, summarize.ngram_similarity
 
     def counted_cosine(a, b):
         calls["cosine"] += 1
@@ -200,7 +200,7 @@ def test_selection_state_computes_each_piece_once(monkeypatch):
         calls["ar2"].append(frozenset((a.global_id, b.global_id)))
         return similarity(a, b, cfg, grams)
 
-    monkeypatch.setattr(summarize, "cosine", counted_cosine)
+    monkeypatch.setattr(graph, "cosine", counted_cosine)
     monkeypatch.setattr(summarize, "ngram_similarity", counted_similarity)
     state = SelectionState(records, util.vectors_for(records))
     budget = SummaryBudget("words", 10_000)
