@@ -22,7 +22,8 @@ import numpy as np
 
 from . import centrality, evaluate, graph, summarize
 from .centrality import WEIGHTED_MEASURES, WalkParams
-from .corpus import load_corpus, parse_budget, parse_manifest
+from .corpus import (SUPPORTED_LANGUAGES, load_corpus, parse_budget,
+                     parse_manifest)
 from .errors import NetsummError
 
 EXIT_OK = 0
@@ -155,8 +156,11 @@ def _load(merged: dict) -> list:
         print(f"error: corpus path {corpus_path!r} does not exist",
               file=sys.stderr)
         raise SystemExit(EXIT_BAD_CORPUS)
-    clusters = load_corpus(corpus_path)
     lang = merged.get("lang")
+    if lang and lang not in SUPPORTED_LANGUAGES:
+        raise NetsummError(f"unsupported language {lang!r}; expected one "
+                           f"of {', '.join(SUPPORTED_LANGUAGES)}")
+    clusters = load_corpus(corpus_path)
     if lang:
         clusters = [replace(c, language=lang) for c in clusters]
     budget = merged.get("budget")
@@ -192,10 +196,12 @@ def cmd_summarize(merged: dict) -> int:
             if merged.get("dump-graph"):
                 _write_edges(out / f"{cluster.id}__a{alpha:g}__edges.csv",
                              g_alpha)
+            pruned = [(r, graph.remove_weakest(g_alpha, r))
+                      for r in grid.rs] \
+                if set(grid.measures) - set(WEIGHTED_MEASURES) else []
             for measure in grid.measures:
                 variants = [(None, g_alpha)] if measure in WEIGHTED_MEASURES \
-                    else [(r, graph.remove_weakest(g_alpha, r))
-                          for r in grid.rs]
+                    else pruned
                 for r, g_var in variants:
                     if measure in ("sym", "sym_low"):
                         if sym is None:

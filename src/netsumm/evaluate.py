@@ -70,7 +70,8 @@ def rouge1_recall(candidate: str, references: list,
 
     Per reference: sum of clipped unigram counts over the reference length.
     Scores are combined with the arithmetic mean (or max when
-    aggregate="max").
+    aggregate="max"). A reference is its text or, counted once for many
+    candidates, the Counter of its rouge_tokens.
     """
     if aggregate not in ("mean", "max"):
         raise InvalidParameter(f"unknown aggregate {aggregate!r}")
@@ -79,7 +80,8 @@ def rouge1_recall(candidate: str, references: list,
     cand = Counter(rouge_tokens(candidate))
     scores = []
     for ref in references:
-        ref_counts = Counter(rouge_tokens(ref))
+        ref_counts = ref if isinstance(ref, Counter) \
+            else Counter(rouge_tokens(ref))
         total = sum(ref_counts.values())
         if total == 0:
             raise InvalidReference("a reference summary has no words")
@@ -222,6 +224,8 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, params: WalkParams,
         except NetsummError as exc:
             return f"skip:{type(exc).__name__}"
 
+    references = [Counter(rouge_tokens(ref)) for ref in cluster.references]
+    scores = {}  # summary text -> its ROUGE-1 recall
     corr_alpha, corr_r = _corr_point(grid)
     corr_results = {}
     # sym reads edge presence only, which alpha leaves as it is
@@ -261,8 +265,10 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, params: WalkParams,
                         prepared.records, ranking, cluster.budget,
                         summarize.RedundancyConfig(method=ard),
                         vectors=prepared.state, cluster_id=cluster.id)
-                    score = rouge1_recall(summ.text, list(cluster.references),
-                                          aggregate)
+                    score = scores.get(summ.text)
+                    if score is None:
+                        score = scores[summ.text] = rouge1_recall(
+                            summ.text, references, aggregate)
                     cells[(measure, alpha, r, ard)] = (score, "")
                 except NetsummError as exc:
                     cells[(measure, alpha, r, ard)] = (

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _cc_labels
 
 from .errors import EmptyGraph, InvalidInput, InvalidParameter
@@ -70,14 +71,42 @@ class GraphParams:
 
 
 def cosine_matrix(vectors: list) -> np.ndarray:
-    """Pairwise tfidf.cosine of vectors, zero diagonal; each pair computed
-    once."""
+    """Pairwise tfidf.cosine of vectors, zero diagonal, bit for bit.
+
+    The dot products come from one sparse product X @ X.T, X the sentence
+    by term weight matrix. Each term product is rounded as cosine's fsum
+    rounds it, so a pair sharing one term gets that product exactly, and a
+    pair sharing two gets one IEEE add, correctly rounded in either order.
+    The same product over X's 0/1 pattern counts the shared terms; the few
+    pairs sharing three or more go through cosine itself.
+    """
     n = len(vectors)
-    sims = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            sims[i, j] = sims[j, i] = cosine(vectors[i], vectors[j])
-    return sims
+    indptr = np.cumsum([0] + [len(v.weights) for v in vectors])
+    terms = np.fromiter((t for v in vectors for t in v.weights), np.int64,
+                        indptr[-1])
+    weights = np.fromiter((w for v in vectors for w in v.weights.values()),
+                          np.float64, indptr[-1])
+    if (weights <= 0).any():
+        raise InvalidInput("tf-idf weights must be positive")
+    shape = (n, int(terms.max(initial=-1)) + 1)
+    x = csr_matrix((weights, terms, indptr), shape=shape)
+    pattern = csr_matrix((np.ones(len(terms), np.int32), terms, indptr),
+                         shape=shape)
+    # Both products visit the same cells in the same order and no positive
+    # sum is dropped as zero, so their entries line up one to one.
+    shared = pattern @ pattern.T
+    us = np.repeat(np.arange(n, dtype=np.int32), np.diff(shared.indptr))
+    upper = shared.indices > us
+    us, vs, shared = us[upper], shared.indices[upper], shared.data[upper]
+    norms = np.array([v.norm for v in vectors])
+    sims = (x @ x.T).data[upper]
+    sims /= norms[us] * norms[vs]
+    np.minimum(sims, 1.0, out=sims)
+    for k in np.flatnonzero(shared >= 3).tolist():
+        sims[k] = cosine(vectors[us[k]], vectors[vs[k]])
+    w = np.zeros((n, n))
+    w[us, vs] = w[vs, us] = sims
+    return w
 
 
 def build(vectors: list, layers) -> MultilayerGraph:

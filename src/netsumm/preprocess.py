@@ -26,7 +26,7 @@ ABBREVIATIONS = frozenset({
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _NUMERIC_RE = re.compile(r"[0-9]+")
 _TERMINATOR_RE = re.compile(r"[.!?]+")
-_TRAILING_WORD_RE = re.compile(r"([^\W\d_]+)$", re.UNICODE)
+_LETTER_RE = re.compile(r"[^\W\d_]")
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,13 @@ class LanguageResources:
 
 
 def fold(text: str) -> str:
-    """Lowercase and strip diacritics (NFKD, drop combining marks)."""
+    """Lowercase and strip diacritics (NFKD, drop combining marks).
+
+    ASCII text is only lowercased: NFKD leaves it as it is, and it has no
+    combining marks.
+    """
+    if text.isascii():
+        return text.lower()
     decomposed = unicodedata.normalize("NFKD", text.lower())
     return "".join(c for c in decomposed if not unicodedata.combining(c))
 
@@ -130,8 +136,13 @@ def _is_boundary(text: str, start: int, end: int) -> bool:
     if end < len(text) and not text[end].isspace():
         return False
     if text[start:end] == ".":
-        m = _TRAILING_WORD_RE.search(text[:start])
-        if m and m.group(1).lower() in ABBREVIATIONS:
+        # the run of letters ending at the period, or at a newline just
+        # before it, as the pattern [^\W\d_]+$ finds it in text[:start]
+        stop = start - 1 if text[start - 1:start] == "\n" else start
+        begin = stop
+        while begin and _LETTER_RE.match(text, begin - 1):
+            begin -= 1
+        if text[begin:stop].lower() in ABBREVIATIONS:
             return False
     return True
 
@@ -139,8 +150,12 @@ def _is_boundary(text: str, start: int, end: int) -> bool:
 def segment(raw_text: str) -> list:
     """Split text into sentence strings at '.', '!' or '?'.
 
-    Each returned segment keeps its terminator and has internal whitespace
-    collapsed to single spaces. Empty segments are dropped.
+    A terminator ends a sentence when whitespace or the end of the text
+    follows it, and a bare period also needs the word before it not to be
+    an abbreviation; that word is found by walking back from the period, so
+    the split takes time linear in the text's length. Each returned
+    segment keeps its terminator and has internal whitespace collapsed to
+    single spaces. Empty segments are dropped.
     """
     sentences = []
     begin = 0

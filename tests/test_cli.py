@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from netsumm import graph
 from netsumm.cli import main
 
 EVAL_FLAGS = ["--alpha", "1.0", "--r", "0.2", "--measure", "dg,stg",
@@ -286,3 +287,30 @@ def test_dump_sim_diagonal_of_an_empty_sentence_is_zero(tmp_path):
     assert [row[k] for k, row in enumerate(rows)] == \
         ["1.000000", "0.000000", "1.000000", "1.000000", "1.000000"]
     assert set(rows[1]) == {"0.000000"}
+
+
+@pytest.mark.parametrize("command", ["summarize", "evaluate"])
+def test_unsupported_language_exits_1_before_writing(toy_path, tmp_path,
+                                                     capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--corpus", str(toy_path), "--out", str(out),
+                 "--lang", "xx"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'xx'" in err
+    assert not out.exists()
+
+
+def test_summarize_removes_edges_once_per_alpha_and_r(toy_path, tmp_path,
+                                                      monkeypatch):
+    calls = []
+    remove_weakest = graph.remove_weakest
+
+    def counted(g, r):
+        calls.append(r)
+        return remove_weakest(g, r)
+
+    monkeypatch.setattr(graph, "remove_weakest", counted)
+    assert main(["summarize", "--corpus", str(toy_path),
+                 "--out", str(tmp_path / "out"), "--measure",
+                 "dg,pr,sp,access", "--alpha", "1.0", "--r", "0.2"]) == 0
+    assert calls == [0.2, 0.2]   # one per cluster of the toy corpus

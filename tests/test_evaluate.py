@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +50,32 @@ def test_rouge1_recall_reference_errors():
         rouge1_recall("a", [])
     with pytest.raises(InvalidReference):
         rouge1_recall("a", ["..."])
+
+
+def test_rouge1_recall_takes_counted_references():
+    refs = ["The cat sat.", "a cat ran fast"]
+    counted = [Counter(rouge_tokens(ref)) for ref in refs]
+    for aggregate in ("mean", "max"):
+        assert rouge1_recall("the cat ran", counted, aggregate) == \
+            rouge1_recall("the cat ran", refs, aggregate)
+    with pytest.raises(InvalidReference):
+        rouge1_recall("a", [Counter()])
+
+
+def test_run_sweep_scores_each_distinct_summary_once(toy_corpus,
+                                                     monkeypatch):
+    texts = []
+    rouge1 = evaluate.rouge1_recall
+
+    def counted(candidate, references, aggregate="mean"):
+        texts.append(candidate)
+        return rouge1(candidate, references, aggregate)
+
+    monkeypatch.setattr(evaluate, "rouge1_recall", counted)
+    grid = SweepGrid(alphas=(0.5, 1.0), rs=(0.2, 0.3),
+                     measures=("dg", "stg", "pr"), ards=("none", "AR1"))
+    report = run_sweep(toy_corpus[:1], grid)
+    assert len(texts) == len(set(texts)) < len(report.rows)
 
 
 def _result(measure, scores):

@@ -5,9 +5,10 @@ import oracles
 import util
 from netsumm.errors import EmptyGraph, InvalidInput, InvalidParameter
 from netsumm.graph import (INTER, INTRA, GraphParams, apply_alpha, build,
-                           connected_components, from_edges, remove_weakest)
+                           connected_components, cosine_matrix, from_edges,
+                           remove_weakest)
 from netsumm.preprocess import SentenceRecord
-from netsumm.tfidf import fit, vectorize
+from netsumm.tfidf import SentenceVector, cosine, fit, vectorize
 
 
 def _vectors(token_lists, doc_of):
@@ -45,6 +46,44 @@ def test_build_empty_graph():
     vs = _vectors([["a"], ["b"]], [0, 1])
     with pytest.raises(EmptyGraph):
         build(vs, [0, 1])
+
+
+def _random_vectors(rng, n, n_terms):
+    vectors = []
+    for gid in range(n):
+        size = int(rng.integers(0, 7))
+        terms = rng.choice(n_terms, size, replace=False).tolist()
+        weights = {t: float(rng.random() ** 3 * 5 + 1e-3) for t in terms}
+        norm = float(np.sqrt(sum(w * w for w in weights.values())))
+        vectors.append(SentenceVector(gid, weights, norm))
+    vectors += [SentenceVector(n + k, dict(v.weights), v.norm)
+                for k, v in enumerate(vectors[:3])]   # cosine capped at 1
+    return vectors
+
+
+def test_cosine_matrix_is_bitwise_tfidf_cosine():
+    rng = np.random.default_rng(73)
+    for n_terms in (6, 12, 30):
+        vectors = _random_vectors(rng, 60, n_terms)
+        n = len(vectors)
+        want = np.zeros((n, n))
+        shared = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                want[i, j] = want[j, i] = cosine(vectors[i], vectors[j])
+                shared.append(len(vectors[i].weights.keys()
+                                  & vectors[j].weights.keys()))
+        got = cosine_matrix(vectors)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert {0, 1, 2, 3} <= set(shared)
+        assert any(not v.weights for v in vectors)
+
+
+def test_cosine_matrix_rejects_non_positive_weights():
+    vectors = [SentenceVector(0, {0: 1.0}, 1.0),
+               SentenceVector(1, {0: -1.0}, 1.0)]
+    with pytest.raises(InvalidInput):
+        cosine_matrix(vectors)
 
 
 def test_graph_params_validation():

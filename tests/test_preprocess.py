@@ -1,5 +1,11 @@
+import random
+import re
+import time
+import unicodedata
+
 import pytest
 
+from netsumm import preprocess
 from netsumm.corpus import Cluster, Document, SummaryBudget
 from netsumm.errors import DegenerateCluster, InvalidParameter
 from netsumm.preprocess import (build_sentences, fold, load_resources,
@@ -84,6 +90,58 @@ def test_segment_keeps_unterminated_tail():
 
 def test_segment_no_tokens_means_no_sentences():
     assert segment("?! ... --") == []
+
+
+def test_segment_abbreviation_is_the_letter_run_before_the_period():
+    # non-ASCII letters belong to the word, so "Ñetc" is no abbreviation
+    assert segment("Dr. Smith came. Ñetc. Next.") == \
+        ["Dr. Smith came.", "Ñetc.", "Next."]
+    assert segment("Mrs. Doña Ana left. Café. Ok.") == \
+        ["Mrs. Doña Ana left.", "Café.", "Ok."]
+    # a digit ends the run: "x1etc." ends in the abbreviation "etc"
+    assert segment("See x1etc. for more. Then 3.14 fits.") == \
+        ["See x1etc. for more.", "Then 3.14 fits."]
+
+
+_OLD_TRAILING_WORD_RE = re.compile(r"([^\W\d_]+)$")
+
+
+def _old_is_boundary(text, start, end):
+    """The boundary rule as a regex search over the prefix (quadratic)."""
+    if end < len(text) and not text[end].isspace():
+        return False
+    if text[start:end] == ".":
+        m = _OLD_TRAILING_WORD_RE.search(text[:start])
+        if m and m.group(1).lower() in preprocess.ABBREVIATIONS:
+            return False
+    return True
+
+
+def test_segment_boundaries_match_the_prefix_regex(monkeypatch):
+    # "\n." puts a period after a newline, which `$` skips over
+    pieces = ["Dr", "etc", "ETC", "x1etc", "no", "Ñetc", "café", "x²",
+              "a_b", "3", "14", "_", " ", "  ", "\n", "\n.", ".", "!", "?",
+              "..", "word", "Fig"]
+    rng = random.Random(7)
+    texts = ["".join(rng.choice(pieces) for _ in range(rng.randint(1, 40)))
+             for _ in range(1000)]
+    new = [segment(t) for t in texts]
+    monkeypatch.setattr(preprocess, "_is_boundary", _old_is_boundary)
+    assert new == [segment(t) for t in texts]
+
+
+def test_segment_is_linear_in_text_length():
+    text = " ".join(f"Sentence number {k} ends here." for k in range(2000))
+    start = time.perf_counter()
+    out = segment(text)
+    assert time.perf_counter() - start < 1.0   # a prefix rescan takes ~6 s
+    assert len(out) == 2000
+
+
+def test_fold_ascii_shortcut_matches_nfkd():
+    ascii_text = "".join(map(chr, range(128)))
+    nfkd = unicodedata.normalize("NFKD", ascii_text.lower())
+    assert fold(ascii_text) == nfkd == ascii_text.lower()
 
 
 def test_normalize_pipeline(en_res):

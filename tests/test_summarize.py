@@ -189,26 +189,25 @@ def test_selection_state_gives_the_same_summaries():
 def test_selection_state_computes_each_piece_once(monkeypatch):
     rng = np.random.default_rng(59)
     records, _ = util.random_records(rng, n_sentences=12, dup_pairs=2)
-    calls = {"cosine": 0, "ar2": []}
-    cosine, similarity = graph.cosine, summarize.ngram_similarity
+    calls = {"cosine_matrix": 0, "ar2": []}
+    cosine_matrix, similarity = graph.cosine_matrix, summarize.ngram_similarity
 
-    def counted_cosine(a, b):
-        calls["cosine"] += 1
-        return cosine(a, b)
+    def counted_cosine_matrix(vectors):
+        calls["cosine_matrix"] += 1
+        return cosine_matrix(vectors)
 
     def counted_similarity(a, b, cfg, grams=None):
         calls["ar2"].append(frozenset((a.global_id, b.global_id)))
         return similarity(a, b, cfg, grams)
 
-    monkeypatch.setattr(graph, "cosine", counted_cosine)
+    monkeypatch.setattr(graph, "cosine_matrix", counted_cosine_matrix)
     monkeypatch.setattr(summarize, "ngram_similarity", counted_similarity)
     state = SelectionState(records, util.vectors_for(records))
     budget = SummaryBudget("words", 10_000)
     for ranking in _random_rankings(rng, records, 20):
         select(records, ranking, budget, RedundancyConfig("AR1"), state)
         select(records, ranking, budget, RedundancyConfig("AR2"), state)
-    n = len(records)
-    assert calls["cosine"] == n * (n - 1) // 2   # the threshold pool only
+    assert calls["cosine_matrix"] == 1   # the threshold pool only
     assert calls["ar2"]
     assert len(calls["ar2"]) == len(set(calls["ar2"]))
 
