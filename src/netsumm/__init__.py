@@ -21,10 +21,10 @@ from .errors import (ClusterTooSmall, ConvergenceError, CorpusFormatError,
                      InvalidInput, InvalidParameter, InvalidReference,
                      NetsummError, SingularMatrix)
 from .evaluate import (CorrelationMatrix, EvaluationReport, PreparedCluster,
-                       SweepGrid, prepare_cluster, rouge1_recall, run_sweep,
-                       spearman_matrix)
-from .graph import (Edge, GraphParams, MultilayerGraph, apply_alpha, build,
-                    from_edges, remove_weakest)
+                       SweepGrid, grid_rankings, prepare_cluster,
+                       rouge1_recall, run_sweep, spearman_matrix)
+from .graph import (Edge, MultilayerGraph, apply_alpha, build, from_edges,
+                    remove_weakest)
 from .preprocess import (LanguageResources, SentenceRecord, build_sentences,
                          load_resources, normalize, segment)
 from .summarize import (RedundancyConfig, SelectionState, Summary,

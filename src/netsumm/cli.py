@@ -3,7 +3,6 @@
 Subcommands:
   summarize   write one summary file per (cluster, measure, alpha, r, ard)
   evaluate    run the sweep and write report.csv / best.csv / correlations.csv
-  dump-graph  export a cluster's edge list as CSV
 
 A flat ``key = value`` config file (--config) can hold any long option of
 the subcommand, and nothing else; explicit command-line flags win over
@@ -15,13 +14,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import centrality, evaluate, graph, summarize
-from .centrality import WEIGHTED_MEASURES, WalkParams
+from . import evaluate, summarize
+from .centrality import WalkParams
 from .corpus import (SUPPORTED_LANGUAGES, load_corpus, parse_budget,
                      parse_manifest)
 from .errors import NetsummError
@@ -59,9 +59,6 @@ def _add_common(sub):
     sub.add_argument("--measure", help="comma list of measure ids")
     sub.add_argument("--ard", help="comma list of none|AR1|AR2")
     sub.add_argument("--h", help="walk length / level depth (default 2)")
-    sub.add_argument("--jobs",
-                     help="parallel cluster workers (default: CPU count, "
-                          "at most one per cluster)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--dump-sim", action="store_true",
                        help="also write per-cluster similarity matrices")
     p_sum.add_argument("--dump-graph", action="store_true",
-                       help="also write per-cluster edge lists")
+                       help="also write the edge list of every alpha-scaled "
+                            "and every thresholded graph")
     p_sum.add_argument("--dump-scores", action="store_true",
                        help="also write per-ranking score tables")
 
@@ -84,14 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_eval)
     p_eval.add_argument("--aggregate", choices=("mean", "max"),
                         help="multi-reference aggregation (default mean)")
-
-    p_dump = subs.add_parser("dump-graph", help="export edge lists")
-    p_dump.add_argument("--corpus")
-    p_dump.add_argument("--out")
-    p_dump.add_argument("--config")
-    p_dump.add_argument("--cluster", help="only this cluster id")
-    p_dump.add_argument("--alpha", help="single alpha (default 1.0)")
-    p_dump.add_argument("--r", help="optional removal fraction")
+    p_eval.add_argument("--jobs",
+                        help="parallel cluster workers (default: CPU count, "
+                             "at most one per cluster)")
     return parser
 
 
@@ -181,50 +174,56 @@ def _out_dir(merged: dict) -> Path:
 
 
 def cmd_summarize(merged: dict) -> int:
+    """Write each cluster's summaries; a failing cluster, ranking or
+    summary is reported on stderr, the run goes on and exits 1."""
     clusters = _load(merged)
     out = _out_dir(merged)
     grid = _grid_from({**{"alpha": "1.0", "r": "0.2",
                           "measure": "dg", "ard": "none"}, **merged})
     params = _walk_params(merged)
+    failed = False
+
+    def fail(where: str, exc: NetsummError) -> None:
+        nonlocal failed
+        failed = True
+        print(f"error: {where}: {exc}", file=sys.stderr)
+
     for cluster in clusters:
-        prepared = evaluate.prepare_cluster(cluster)
-        sym = None  # alpha-invariant: computed once per cluster
+        try:
+            prepared = evaluate.prepare_cluster(cluster)
+        except NetsummError as exc:
+            fail(cluster.id, exc)
+            continue
         if merged.get("dump-sim"):
             _write_sim(out / f"{cluster.id}__sim.csv", prepared)
-        for alpha in grid.alphas:
-            g_alpha = graph.apply_alpha(prepared.base, alpha)
+        for alpha, r, g, results in evaluate.grid_rankings(prepared, grid,
+                                                           params):
             if merged.get("dump-graph"):
-                _write_edges(out / f"{cluster.id}__a{alpha:g}__edges.csv",
-                             g_alpha)
-            pruned = [(r, graph.remove_weakest(g_alpha, r))
-                      for r in grid.rs] \
-                if set(grid.measures) - set(WEIGHTED_MEASURES) else []
-            for measure in grid.measures:
-                variants = [(None, g_alpha)] if measure in WEIGHTED_MEASURES \
-                    else pruned
-                for r, g_var in variants:
-                    if measure in ("sym", "sym_low"):
-                        if sym is None:
-                            sym = centrality.compute("sym", prepared.base,
-                                                     params)
-                        ranking = sym if measure == "sym" \
-                            else centrality.sym_low_from(sym)
-                    else:
-                        ranking = centrality.compute(measure, g_var, params)
-                    stem = (f"{cluster.id}__{measure}__a{alpha:g}"
-                            f"__r{evaluate.fmt_r(r)}")
-                    if merged.get("dump-scores"):
-                        _write_scores(out / f"{stem}__scores.csv", ranking)
-                    for ard in grid.ards:
+                suffix = "" if r is None else f"__r{r:g}"
+                _write_edges(
+                    out / f"{cluster.id}__a{alpha:g}{suffix}__edges.csv", g)
+            for measure, ranking in results.items():
+                stem = (f"{cluster.id}__{measure}__a{alpha:g}"
+                        f"__r{evaluate.fmt_r(r)}")
+                if isinstance(ranking, NetsummError):
+                    fail(stem, ranking)
+                    continue
+                if merged.get("dump-scores"):
+                    _write_scores(out / f"{stem}__scores.csv", ranking)
+                for ard in grid.ards:
+                    try:
                         summ = summarize.select(
                             prepared.records, ranking, cluster.budget,
                             summarize.RedundancyConfig(method=ard),
                             vectors=prepared.state, cluster_id=cluster.id)
-                        path = out / f"{stem}__{ard}.txt"
-                        path.write_text(summ.text + "\n", "utf-8")
-                        print(f"wrote {path} "
-                              f"({summ.budget_used} {cluster.budget.kind})")
-    return EXIT_OK
+                    except NetsummError as exc:
+                        fail(f"{stem}__{ard}", exc)
+                        continue
+                    path = out / f"{stem}__{ard}.txt"
+                    path.write_text(summ.text + "\n", "utf-8")
+                    print(f"wrote {path} "
+                          f"({summ.budget_used} {cluster.budget.kind})")
+    return EXIT_ERROR if failed else EXIT_OK
 
 
 def cmd_evaluate(merged: dict) -> int:
@@ -248,36 +247,22 @@ def cmd_evaluate(merged: dict) -> int:
     evaluate.write_curves(report, out)
     print(f"evaluated {len(report.rows)} cells over "
           f"{len(report.cluster_ids)} clusters -> {out}")
+    notes = [note for row in report.rows for _, score, note in row.per_cluster
+             if score is None]
+    if notes:
+        reasons = Counter(note.removeprefix("skip:") for note in notes)
+        print(f"{len(notes)} cells skipped: " + ", ".join(
+            f"{reason}×{count}" for reason, count in reasons.most_common()))
+    if not report.best:
+        print("error: no cell of any cluster has a score", file=sys.stderr)
+        return EXIT_ERROR
     return EXIT_OK
 
 
-def cmd_dump_graph(merged: dict) -> int:
-    clusters = _load(merged)
-    out = _out_dir(merged)
-    only = merged.get("cluster")
-    alpha = _number("alpha", merged.get("alpha", 1.0))
-    r = merged.get("r")
-    if r is not None:
-        r = _number("r", r)
-    for cluster in clusters:
-        if only and cluster.id != only:
-            continue
-        g = graph.apply_alpha(evaluate.prepare_cluster(cluster).base, alpha)
-        suffix = f"__a{alpha:g}"
-        if r is not None:
-            g = graph.remove_weakest(g, r)
-            suffix += f"__r{r:g}"
-        path = out / f"{cluster.id}{suffix}__edges.csv"
-        print(f"wrote {path} ({_write_edges(path, g)} edges)")
-    return EXIT_OK
-
-
-def _write_edges(path: Path, g) -> int:
-    """Write g's edge list; returns the number of edges."""
+def _write_edges(path: Path, g) -> None:
     lines = ["i,j,weight,kind"]
     lines += [f"{e.u},{e.v},{e.weight:.10g},{e.kind}" for e in g.edges]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return len(lines) - 1
 
 
 def _write_sim(path: Path, prepared: evaluate.PreparedCluster) -> None:
@@ -301,9 +286,7 @@ def main(argv=None) -> int:
         merged = _merge_config(args)
         if args.command == "summarize":
             return cmd_summarize(merged)
-        if args.command == "evaluate":
-            return cmd_evaluate(merged)
-        return cmd_dump_graph(merged)
+        return cmd_evaluate(merged)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_ERROR
     except NetsummError as exc:

@@ -1,11 +1,14 @@
 """Cluster preparation, ROUGE-1 recall scoring, the (alpha, r) sweep, and
 rank correlations.
 
-The sweep evaluates every admissible (measure, alpha, r, anti-redundancy)
-cell over all clusters of a corpus. Weighted-graph measures do not use the
-edge-removal fraction r and occupy a single "--" row per alpha; unweighted
-measures run once per r. Per-cluster failures become skip notes on the cell,
-never an abort.
+grid_rankings is the one walk over the (alpha, r, measure) grid: it derives
+each alpha-scaled and each thresholded graph once and ranks it with the
+grid's measures. `summarize` writes files from its output and the sweep
+scores it. The sweep evaluates every admissible (measure, alpha, r,
+anti-redundancy) cell over all clusters of a corpus. Weighted-graph
+measures do not use the edge-removal fraction r and occupy a single "--"
+row per alpha; unweighted measures run once per r. Per-cluster failures
+become skip notes on the cell, never an abort.
 """
 
 from __future__ import annotations
@@ -201,65 +204,68 @@ def _corr_snapshot(labels: tuple, results: dict) -> CorrelationMatrix | None:
     return CorrelationMatrix(labels, values)
 
 
-def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, params: WalkParams,
-                      aggregate: str) -> dict:
-    """All cell scores for one cluster.
+def grid_rankings(prepared: PreparedCluster, grid: SweepGrid,
+                  params: WalkParams):
+    """Every ranking of one cluster over the grid, one graph at a time.
 
-    Returns {"cells": {(measure, alpha, r, ard): (score|None, note)},
-             "corr": CorrelationMatrix|None, "note": str}.
+    Per alpha, yields (alpha, None, g_alpha, {weighted measure: result});
+    then, if the grid has an unweighted measure, (alpha, r, g_r,
+    {unweighted measure: result}) for each r. A result is the measure's
+    CentralityResult or the NetsummError it raised. sym reads edge
+    presence only, which alpha leaves as it is, so it is computed once,
+    from the base graph.
     """
-    cells = {}
-    try:
-        prepared = prepare_cluster(cluster)
-    except NetsummError as exc:
-        note = f"skip:{type(exc).__name__}"
-        for key in grid.cells():
-            cells[key] = (None, note)
-        return {"cells": cells, "corr": None, "note": note}
-
     def rank(measure, g):
-        """The measure's ranking, or the skip note of its failure."""
         try:
             return centrality.compute(measure, g, params)
         except NetsummError as exc:
-            return f"skip:{type(exc).__name__}"
+            return exc
 
-    references = [Counter(rouge_tokens(ref)) for ref in cluster.references]
-    scores = {}  # summary text -> its ROUGE-1 recall
-    corr_alpha, corr_r = _corr_point(grid)
-    corr_results = {}
-    # sym reads edge presence only, which alpha leaves as it is
+    weighted = [m for m in grid.measures if m in WEIGHTED_MEASURES]
+    unweighted = [m for m in grid.measures if m not in WEIGHTED_MEASURES]
     alpha_free = {}
     if {"sym", "sym_low"} & set(grid.measures):
         sym = rank("sym", prepared.base)
-        alpha_free = {"sym": sym, "sym_low": sym if isinstance(sym, str)
-                      else centrality.sym_low_from(sym)}
-
+        alpha_free = {"sym": sym, "sym_low": sym if isinstance(
+            sym, NetsummError) else centrality.sym_low_from(sym)}
     for alpha in grid.alphas:
         g_alpha = graph.apply_alpha(prepared.base, alpha)
-        rankings = {}
-        for measure in grid.measures:
-            if measure in alpha_free:
-                rankings[(measure, None)] = alpha_free[measure]
-            elif measure in WEIGHTED_MEASURES:
-                rankings[(measure, None)] = rank(measure, g_alpha)
-        for r in grid.rs:
+        yield alpha, None, g_alpha, {
+            m: alpha_free[m] if m in alpha_free else rank(m, g_alpha)
+            for m in weighted}
+        for r in grid.rs if unweighted else ():
             g_r = graph.remove_weakest(g_alpha, r)
-            for measure in grid.measures:
-                if measure not in WEIGHTED_MEASURES:
-                    rankings[(measure, r)] = rank(measure, g_r)
-        if alpha == corr_alpha:
-            for measure in grid.measures:
-                key = (measure, None if measure in WEIGHTED_MEASURES
-                       else corr_r)
-                if measure != "sym_low" and \
-                        not isinstance(rankings[key], str):
-                    corr_results[measure] = rankings[key]
-        for (measure, r), ranking in rankings.items():
+            yield alpha, r, g_r, {m: rank(m, g_r) for m in unweighted}
+
+
+def _skip(exc: NetsummError) -> str:
+    return f"skip:{type(exc).__name__}"
+
+
+def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, params: WalkParams,
+                      aggregate: str) -> tuple:
+    """All cell scores for one cluster: ({(measure, alpha, r, ard):
+    (score|None, note)}, CorrelationMatrix|None)."""
+    try:
+        prepared = prepare_cluster(cluster)
+    except NetsummError as exc:
+        return {key: (None, _skip(exc)) for key in grid.cells()}, None
+
+    references = [Counter(rouge_tokens(ref)) for ref in cluster.references]
+    scores = {}  # summary text -> its ROUGE-1 recall
+    cells = {}
+    corr_alpha, corr_r = _corr_point(grid)
+    corr_results = {}
+    for alpha, r, _, results in grid_rankings(prepared, grid, params):
+        for measure, ranking in results.items():
+            if isinstance(ranking, NetsummError):
+                for ard in grid.ards:
+                    cells[(measure, alpha, r, ard)] = (None, _skip(ranking))
+                continue
+            if alpha == corr_alpha and r in (None, corr_r) \
+                    and measure != "sym_low":
+                corr_results[measure] = ranking
             for ard in grid.ards:
-                if isinstance(ranking, str):
-                    cells[(measure, alpha, r, ard)] = (None, ranking)
-                    continue
                 try:
                     summ = summarize.select(
                         prepared.records, ranking, cluster.budget,
@@ -271,12 +277,10 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, params: WalkParams,
                             summ.text, references, aggregate)
                     cells[(measure, alpha, r, ard)] = (score, "")
                 except NetsummError as exc:
-                    cells[(measure, alpha, r, ard)] = (
-                        None, f"skip:{type(exc).__name__}")
+                    cells[(measure, alpha, r, ard)] = (None, _skip(exc))
 
     labels = tuple(m for m in grid.measures if m != "sym_low")
-    corr = _corr_snapshot(labels, corr_results)
-    return {"cells": cells, "corr": corr, "note": ""}
+    return cells, _corr_snapshot(labels, corr_results)
 
 
 def run_sweep(clusters: list, grid: SweepGrid = SweepGrid(),
@@ -306,17 +310,11 @@ def run_sweep(clusters: list, grid: SweepGrid = SweepGrid(),
     cluster_ids = tuple(c.id for c in clusters)
     rows = []
     for key in grid.cells():
-        measure, alpha, r, ard = key
-        per_cluster = []
-        scores = []
-        for cid, ev in zip(cluster_ids, evaluated):
-            score, note = ev["cells"][key]
-            per_cluster.append((cid, score, note))
-            if score is not None:
-                scores.append(score)
+        per_cluster = tuple((cid, *cells[key])
+                            for cid, (cells, _) in zip(cluster_ids, evaluated))
+        scores = [score for _, score, _ in per_cluster if score is not None]
         mean = sum(scores) / len(scores) if scores else None
-        rows.append(SweepRow(measure, alpha, r, ard, mean,
-                             tuple(per_cluster)))
+        rows.append(SweepRow(*key, mean, per_cluster))
 
     best = []
     for measure in grid.measures:
@@ -325,7 +323,7 @@ def run_sweep(clusters: list, grid: SweepGrid = SweepGrid(),
         if candidates:
             best.append(max(candidates, key=lambda row: row.rouge1))
 
-    matrices = [ev["corr"] for ev in evaluated if ev["corr"] is not None]
+    matrices = [corr for _, corr in evaluated if corr is not None]
     correlations = _average_correlations(matrices, grid)
     return EvaluationReport(tuple(rows), cluster_ids, correlations,
                             tuple(best))

@@ -56,20 +56,6 @@ class MultilayerGraph:
                                self.W[us, vs].tolist()))
 
 
-@dataclass(frozen=True)
-class GraphParams:
-    """alpha scales inter-layer weights; r is the removed edge fraction."""
-
-    alpha: float = 1.0
-    r: float = 0.0
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise InvalidParameter(f"alpha must be > 0, got {self.alpha}")
-        if not 0 <= self.r < 1:
-            raise InvalidParameter(f"r must be in [0, 1), got {self.r}")
-
-
 def cosine_matrix(vectors: list) -> np.ndarray:
     """Pairwise tfidf.cosine of vectors, zero diagonal, bit for bit.
 

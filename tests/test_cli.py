@@ -1,9 +1,11 @@
+import shutil
 from pathlib import Path
 
 import pytest
 
-from netsumm import graph
+from netsumm import graph, load_corpus
 from netsumm.cli import main
+from netsumm.evaluate import rouge1_recall
 
 EVAL_FLAGS = ["--alpha", "1.0", "--r", "0.2", "--measure", "dg,stg",
               "--ard", "none"]
@@ -26,6 +28,19 @@ def _mini_corpus(tmp_path, with_refs=True):
             "The river flooded the town and families were rescued.",
             encoding="utf-8")
     return root
+
+
+def _no_shared_word(cdir):
+    """Rewrite cluster dir cdir so its two documents share no word: every
+    similarity is zero and preparing the cluster raises EmptyGraph."""
+    for doc in (cdir / "docs").iterdir():
+        doc.unlink()
+    (cdir / "docs" / "a.txt").write_text(
+        "The river flooded the town. Crews rescued stranded families.",
+        encoding="utf-8")
+    (cdir / "docs" / "b.txt").write_text(
+        "Markets rallied sharply today. Investors cheered quarterly earnings.",
+        encoding="utf-8")
 
 
 def test_bad_corpus_path_exits_2(tmp_path, capsys):
@@ -151,19 +166,6 @@ def test_flags_override_config(toy_path, tmp_path):
     assert not (out / "c01__stg__a1__r--__none.txt").exists()
 
 
-def test_dump_graph_command(toy_path, tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(["dump-graph", "--corpus", str(toy_path), "--out", str(out),
-                 "--cluster", "c01", "--alpha", "1.0", "--r", "0.2"])
-    assert code == 0
-    path = out / "c01__a1__r0.2__edges.csv"
-    lines = path.read_text("utf-8").splitlines()
-    assert lines[0] == "i,j,weight,kind"
-    assert len(lines) > 1
-    assert not (out / "c02__a1__r0.2__edges.csv").exists()
-    assert "edges" in capsys.readouterr().out
-
-
 @pytest.mark.parametrize("value, written", [("false", False), ("0", False),
                                             ("true", True), ("1", True),
                                             ("False", False)])
@@ -233,8 +235,6 @@ def test_summarize_refuses_unbounded_h(toy_path, tmp_path, capsys):
     ("evaluate", [], "alpha = big\n", "alpha"),
     ("summarize", ["--r", "abc"], "", "r"),
     ("evaluate", [], "r = 0.1,abc\n", "r"),
-    ("dump-graph", ["--alpha", "big"], "", "alpha"),
-    ("dump-graph", [], "r = abc\n", "r"),
 ])
 def test_non_numeric_value_exits_1(tmp_path, capsys, command, flags,
                                    cfg_text, key):
@@ -250,7 +250,7 @@ def test_non_numeric_value_exits_1(tmp_path, capsys, command, flags,
 
 @pytest.mark.parametrize("command, key", [("summarize", "measures"),
                                           ("evaluate", "budget"),
-                                          ("dump-graph", "measure")])
+                                          ("summarize", "jobs")])
 def test_unknown_config_key_exits_1(tmp_path, capsys, command, key):
     root = _mini_corpus(tmp_path)
     cfg = tmp_path / "run.cfg"
@@ -314,3 +314,72 @@ def test_summarize_removes_edges_once_per_alpha_and_r(toy_path, tmp_path,
                  "--out", str(tmp_path / "out"), "--measure",
                  "dg,pr,sp,access", "--alpha", "1.0", "--r", "0.2"]) == 0
     assert calls == [0.2, 0.2]   # one per cluster of the toy corpus
+
+
+def test_summarize_reports_a_failing_cluster_and_goes_on(toy_path, tmp_path,
+                                                         capsys):
+    root = tmp_path / "corpus"
+    shutil.copytree(toy_path, root)
+    _no_shared_word(root / "c01")
+    out = tmp_path / "out"
+    assert main(["summarize", "--corpus", str(root), "--out", str(out),
+                 "--measure", "dg", "--alpha", "1.0", "--r", "0.2",
+                 "--ard", "none"]) == 1
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["c02__dg__a1__r0.2__none.txt"]
+    err = capsys.readouterr().err
+    assert err.startswith("error: c01: ") and "similarities" in err
+
+
+def test_evaluate_with_nothing_scored_exits_1(tmp_path, capsys):
+    root = _mini_corpus(tmp_path)
+    _no_shared_word(root / "c1")
+    out = tmp_path / "out"
+    assert main(["evaluate", "--corpus", str(root), "--out", str(out),
+                 "--jobs", "1"] + EVAL_FLAGS) == 1
+    captured = capsys.readouterr()
+    assert "2 cells skipped: EmptyGraph×2" in captured.out
+    assert captured.err.startswith("error:")
+    report = (out / "report.csv").read_text("utf-8").splitlines()
+    assert report[1:] == ["dg,1,0.2,none,,skip:EmptyGraph",
+                          "stg,1,--,none,,skip:EmptyGraph"]
+    assert (out / "best.csv").read_text("utf-8") == "Meas.,α,r,ARD,RG-1\n"
+
+
+def test_evaluate_of_weighted_measures_removes_no_edge(toy_path, tmp_path,
+                                                       monkeypatch):
+    calls = []
+    remove_weakest = graph.remove_weakest
+
+    def counted(g, r):
+        calls.append(r)
+        return remove_weakest(g, r)
+
+    monkeypatch.setattr(graph, "remove_weakest", counted)
+    assert main(["evaluate", "--corpus", str(toy_path),
+                 "--out", str(tmp_path / "out"), "--jobs", "1",
+                 "--measure", "stg,pr_w", "--alpha", "0.5,1.0",
+                 "--r", "0.1,0.2"]) == 0
+    assert calls == []
+
+
+def test_summaries_score_what_evaluate_reports(toy_path, tmp_path, capsys):
+    grid = ["--measure", "dg,stg,pr,pr_w,sp,sp_w,access,gAccess,sym,"
+                         "sym_low,absT",
+            "--alpha", "0.5,1.9", "--r", "0.1,0.3", "--ard", "none,AR1,AR2"]
+    assert main(["evaluate", "--corpus", str(toy_path),
+                 "--out", str(tmp_path / "eval"), "--jobs", "1"] + grid) == 0
+    assert main(["summarize", "--corpus", str(toy_path),
+                 "--out", str(tmp_path / "sum")] + grid) == 0
+    references = {c.id: c.references for c in load_corpus(toy_path)}
+    lines = (tmp_path / "eval" / "report.csv").read_text("utf-8").splitlines()
+    cluster_ids = lines[0].split(",")[5:]
+    compared = 0
+    for line in lines[1:]:
+        measure, alpha, r, ard, _, *cells = line.split(",")
+        for cid, cell in zip(cluster_ids, cells):
+            text = (tmp_path / "sum" / f"{cid}__{measure}__a{alpha}__r{r}"
+                    f"__{ard}.txt").read_text("utf-8")
+            assert f"{rouge1_recall(text, references[cid]):.6f}" == cell
+            compared += 1
+    assert compared == 2 * (5 * 2 * 3 + 6 * 2 * 2 * 3)  # no cell skipped

@@ -14,7 +14,8 @@ from netsumm.errors import (ConvergenceError, InvalidParameter,
                             InvalidReference, SingularMatrix)
 from netsumm.evaluate import (DEFAULT_ALPHAS, DEFAULT_RS, CorrelationMatrix,
                               EvaluationReport, SweepGrid, SweepRow,
-                              _corr_point, rouge1_recall, rouge_tokens,
+                              _corr_point, grid_rankings, prepare_cluster,
+                              rouge1_recall, rouge_tokens,
                               run_sweep, spearman_matrix, write_best_csv,
                               write_correlations_csv, write_curves,
                               write_report_csv)
@@ -307,3 +308,22 @@ def test_write_curves_takes_best_over_ards(tmp_path):
     assert lines[0] == "alpha,r,rouge1_mean"
     assert lines[1] == "1,0.2,0.600000"   # max of the none/AR1 variants
     assert len(lines) == 2                # the all-skip point is dropped
+
+
+def test_grid_rankings_yields_each_graph_once(toy_corpus):
+    prepared = prepare_cluster(toy_corpus[0])
+    grid = SweepGrid(alphas=(0.5, 1.9), rs=(0.1, 0.3),
+                     measures=("dg", "stg", "sym", "access"), ards=("none",))
+    groups = list(grid_rankings(prepared, grid, WalkParams(h=9)))
+    assert [(alpha, r, g.weighted, list(results))
+            for alpha, r, g, results in groups] == [
+        (0.5, None, True, ["stg", "sym"]),
+        (0.5, 0.1, False, ["dg", "access"]),
+        (0.5, 0.3, False, ["dg", "access"]),
+        (1.9, None, True, ["stg", "sym"]),
+        (1.9, 0.1, False, ["dg", "access"]),
+        (1.9, 0.3, False, ["dg", "access"])]
+    assert groups[0][3]["sym"] is groups[3][3]["sym"]  # once per cluster
+    # a failing measure yields its error; the others still rank
+    assert isinstance(groups[1][3]["access"], InvalidParameter)
+    assert isinstance(groups[1][3]["dg"], CentralityResult)

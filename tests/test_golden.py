@@ -60,12 +60,10 @@ def test_summarize_dumps_match_golden(toy_path, tmp_path, capsys):
     _assert_same_files(golden_dir, tmp_path)
 
 
-@pytest.mark.parametrize("name, flags", [("dump_graph", []),
-                                         ("dump_graph_r0.3", ["--r", "0.3"])])
-def test_dump_graph_matches_golden(toy_path, tmp_path, capsys, name, flags):
-    assert main(["dump-graph", "--corpus", str(toy_path),
-                 "--out", str(tmp_path)] + flags) == 0
-    golden_dir = GOLDEN / name
-    assert sorted(p.name for p in tmp_path.iterdir()) == \
-        sorted(p.name for p in golden_dir.iterdir())
-    _assert_same_files(golden_dir, tmp_path)
+def test_dump_graph_matches_golden(toy_path, tmp_path, capsys):
+    """The alpha-level and the thresholded edge lists of --dump-graph."""
+    assert main(["summarize", "--corpus", str(toy_path),
+                 "--out", str(tmp_path), "--alpha", "1.0", "--r", "0.3",
+                 "--dump-graph"]) == 0
+    _assert_same_files(GOLDEN / "dump_graph", tmp_path)
+    _assert_same_files(GOLDEN / "dump_graph_r0.3", tmp_path)

@@ -4,7 +4,7 @@ import pytest
 import oracles
 import util
 from netsumm.errors import EmptyGraph, InvalidInput, InvalidParameter
-from netsumm.graph import (INTER, INTRA, GraphParams, apply_alpha, build,
+from netsumm.graph import (INTER, INTRA, apply_alpha, build,
                            connected_components, cosine_matrix, from_edges,
                            remove_weakest)
 from netsumm.preprocess import SentenceRecord
@@ -84,16 +84,6 @@ def test_cosine_matrix_rejects_non_positive_weights():
                SentenceVector(1, {0: -1.0}, 1.0)]
     with pytest.raises(InvalidInput):
         cosine_matrix(vectors)
-
-
-def test_graph_params_validation():
-    GraphParams(alpha=0.5, r=0.0)
-    with pytest.raises(InvalidParameter):
-        GraphParams(alpha=0.0)
-    with pytest.raises(InvalidParameter):
-        GraphParams(r=1.0)
-    with pytest.raises(InvalidParameter):
-        GraphParams(r=-0.1)
 
 
 def test_from_edges_kind_derivation_and_ordering():
