@@ -60,10 +60,11 @@ def test_summarize_dumps_match_golden(toy_path, tmp_path, capsys):
     _assert_same_files(golden_dir, tmp_path)
 
 
-def test_dump_graph_matches_golden(toy_path, tmp_path, capsys):
+@pytest.mark.parametrize("name, flags", [
+    ("dump_graph", ["--alpha", "1.0"]),
+    ("dump_graph_r0.3", ["--alpha", "1.0", "--r", "0.3"])])
+def test_dump_graph_matches_golden(toy_path, tmp_path, capsys, name, flags):
     """The alpha-level and the thresholded edge lists of --dump-graph."""
     assert main(["summarize", "--corpus", str(toy_path),
-                 "--out", str(tmp_path), "--alpha", "1.0", "--r", "0.3",
-                 "--dump-graph"]) == 0
-    _assert_same_files(GOLDEN / "dump_graph", tmp_path)
-    _assert_same_files(GOLDEN / "dump_graph_r0.3", tmp_path)
+                 "--out", str(tmp_path), "--dump-graph"] + flags) == 0
+    _assert_same_files(GOLDEN / name, tmp_path)
