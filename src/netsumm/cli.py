@@ -177,10 +177,10 @@ def cmd_summarize(merged: dict) -> int:
     """Write each cluster's summaries; a failing cluster, ranking or
     summary is reported on stderr, the run goes on and exits 1."""
     clusters = _load(merged)
-    out = _out_dir(merged)
     grid = _grid_from({**{"alpha": "1.0", "r": "0.2",
                           "measure": "dg", "ard": "none"}, **merged})
     params = _walk_params(merged)
+    out = _out_dir(merged)
     failed = False
 
     def fail(where: str, exc: NetsummError) -> None:
@@ -220,7 +220,7 @@ def cmd_summarize(merged: dict) -> int:
                         fail(f"{stem}__{ard}", exc)
                         continue
                     path = out / f"{stem}__{ard}.txt"
-                    path.write_text(summ.text + "\n", "utf-8")
+                    evaluate.write_lines(path, [summ.text])
                     print(f"wrote {path} "
                           f"({summ.budget_used} {cluster.budget.kind})")
     return EXIT_ERROR if failed else EXIT_OK
@@ -233,9 +233,9 @@ def cmd_evaluate(merged: dict) -> int:
         print(f"error: clusters without references: {', '.join(missing)}",
               file=sys.stderr)
         return EXIT_NO_REFERENCES
-    out = _out_dir(merged)
     grid = _grid_from(merged)
     params = _walk_params(merged)
+    out = _out_dir(merged)
     jobs = _number("jobs", merged.get("jobs", 0), int) \
         or (os.cpu_count() or 1)
     report = evaluate.run_sweep(clusters, grid, params,
@@ -262,7 +262,7 @@ def cmd_evaluate(merged: dict) -> int:
 def _write_edges(path: Path, g) -> None:
     lines = ["i,j,weight,kind"]
     lines += [f"{e.u},{e.v},{e.weight:.10g},{e.kind}" for e in g.edges]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    evaluate.write_lines(path, lines)
 
 
 def _write_sim(path: Path, prepared: evaluate.PreparedCluster) -> None:
@@ -270,14 +270,14 @@ def _write_sim(path: Path, prepared: evaluate.PreparedCluster) -> None:
     # a sentence's cosine with itself: 1, or 0 for the zero vector
     np.fill_diagonal(sims, [1.0 if v.norm else 0.0 for v in prepared.vectors])
     lines = [",".join(f"{x:.6f}" for x in row) for row in sims.tolist()]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    evaluate.write_lines(path, lines)
 
 
 def _write_scores(path: Path, ranking) -> None:
     lines = ["node,score"]
     lines += [f"{node},{ranking.scores[node]:.10g}"
               for node in sorted(ranking.scores)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    evaluate.write_lines(path, lines)
 
 
 def main(argv=None) -> int:

@@ -14,6 +14,7 @@ become skip notes on the cell, never an abort.
 from __future__ import annotations
 
 import math
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import centrality, graph, preprocess, summarize, tfidf
 from .centrality import ALL_MEASURES, WEIGHTED_MEASURES, WalkParams
@@ -102,11 +102,27 @@ class CorrelationMatrix:
     values: np.ndarray  # square, NaN where undefined
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; tied values share the mean of their ranks
+    (scipy's rankdata "average" rule, so the ranks are equal bit for bit)."""
+    order = np.argsort(x, kind="mergesort")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    ordered = x[order]
+    first = np.r_[True, ordered[1:] != ordered[:-1]]
+    dense = first.cumsum()[inverse]
+    count = np.r_[np.nonzero(first)[0], first.size]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def spearman_matrix(results: list) -> CorrelationMatrix:
     """Tie-corrected Spearman rho between measure score vectors.
 
     All results must cover the same node set. A constant vector has no
-    ranking, so its pairs are NaN (missing), never 0. Diagonal is 1.
+    ranking, so its pairs are NaN (missing), never 0; so are the pairs of a
+    vector holding a NaN. Diagonal is 1. Each vector is ranked once, and
+    each rho is the Pearson correlation of two rank vectors, computed as
+    scipy's spearmanr computes it.
     """
     labels = tuple(res.measure for res in results)
     nodes = sorted(results[0].scores) if results else []
@@ -117,13 +133,15 @@ def spearman_matrix(results: list) -> CorrelationMatrix:
     k = len(results)
     values = np.full((k, k), np.nan)
     vectors = [np.array([res.scores[v] for v in nodes]) for res in results]
+    ranks = [None if np.all(x == x[0]) or np.isnan(x).any()
+             else _average_ranks(x) for x in vectors]
     for i in range(k):
         values[i, i] = 1.0
         for j in range(i + 1, k):
-            xi, xj = vectors[i], vectors[j]
-            if np.all(xi == xi[0]) or np.all(xj == xj[0]):
+            if ranks[i] is None or ranks[j] is None:
                 continue
-            rho = spearmanr(xi, xj).statistic
+            rho = np.corrcoef(np.column_stack((ranks[i], ranks[j])),
+                              rowvar=False)[1, 0]
             values[i, j] = values[j, i] = rho
     return CorrelationMatrix(labels, values)
 
@@ -151,6 +169,13 @@ class SweepGrid:
         unknown = set(self.ards) - set(summarize.AR_METHODS)
         if unknown:
             raise InvalidParameter(f"unknown anti-redundancy {sorted(unknown)}")
+        for option, values in (("alpha", self.alphas), ("r", self.rs),
+                               ("measure", self.measures), ("ard", self.ards)):
+            # `in` compares numbers by value, so 1.0 repeats 1
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise InvalidParameter(
+                    f"--{option} lists {repeated[0]} more than once")
 
     def cells(self):
         """Admissible (measure, alpha, r-or-None, ard) tuples in emit order."""
@@ -355,6 +380,20 @@ def _average_correlations(matrices: list, grid: SweepGrid
 # ---------------------------------------------------------------------------
 # CSV emission
 
+def write_lines(path, lines: list) -> None:
+    """Write lines, each ended by a newline, to path as UTF-8 by way of a
+    temp file in the same directory that replaces path when complete: a
+    failed write leaves the old file, if any, and no temp file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def fmt_r(r) -> str:
     return "--" if r is None else f"{r:g}"
 
@@ -372,7 +411,7 @@ def write_report_csv(report: EvaluationReport, path) -> None:
             cells.append(_fmt_score(score) if score is not None else note)
         lines.append(f"{row.measure},{row.alpha:g},{fmt_r(row.r)},{row.ard},"
                      f"{_fmt_score(row.rouge1)}," + ",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def write_best_csv(report: EvaluationReport, path) -> None:
@@ -380,7 +419,7 @@ def write_best_csv(report: EvaluationReport, path) -> None:
     for row in report.best:
         lines.append(f"{row.measure},{row.alpha:g},{fmt_r(row.r)},{row.ard},"
                      f"{_fmt_score(row.rouge1, 4)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def write_correlations_csv(report: EvaluationReport, path) -> None:
@@ -389,7 +428,7 @@ def write_correlations_csv(report: EvaluationReport, path) -> None:
     for label, rowvals in zip(corr.labels, corr.values):
         cells = ["" if math.isnan(v) else f"{v:.6f}" for v in rowvals]
         lines.append(label + "," + ",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def write_curves(report: EvaluationReport, out_dir) -> list:
@@ -412,6 +451,6 @@ def write_curves(report: EvaluationReport, out_dir) -> list:
         for (alpha, r), mean in points.items():
             lines.append(f"{alpha:g},{fmt_r(r)},{_fmt_score(mean)}")
         path = out / f"curve_{measure}.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(path, lines)
         written.append(path)
     return written

@@ -1,8 +1,12 @@
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import netsumm
 from netsumm import graph, load_corpus
 from netsumm.cli import main
 from netsumm.evaluate import rouge1_recall
@@ -383,3 +387,69 @@ def test_summaries_score_what_evaluate_reports(toy_path, tmp_path, capsys):
             assert f"{rouge1_recall(text, references[cid]):.6f}" == cell
             compared += 1
     assert compared == 2 * (5 * 2 * 3 + 6 * 2 * 2 * 3)  # no cell skipped
+
+
+def test_evaluate_rejects_repeated_grid_values(toy_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["evaluate", "--corpus", str(toy_path), "--out", str(out),
+                 "--alpha", "1.0,1", "--measure", "dg", "--r", "0.2",
+                 "--ard", "none"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--alpha" in err
+    assert not out.exists()
+
+
+def test_summarize_rejects_repeated_grid_values(toy_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["summarize", "--corpus", str(toy_path), "--out", str(out),
+                 "--measure", "dg,dg"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--measure" in err
+    assert not out.exists()
+
+
+def test_every_output_file_is_written_atomically(toy_path, tmp_path,
+                                                  monkeypatch):
+    replaced = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        replaced.append(Path(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    out = tmp_path / "out"
+    assert main(["summarize", "--corpus", str(toy_path), "--out", str(out),
+                 "--measure", "dg,stg", "--dump-sim", "--dump-graph",
+                 "--dump-scores"]) == 0
+    assert main(["evaluate", "--corpus", str(toy_path), "--out", str(out),
+                 "--jobs", "1"] + EVAL_FLAGS) == 0
+    written = sorted(out.iterdir())
+    assert {p.name for p in written} >= {
+        "report.csv", "best.csv", "correlations.csv", "curve_dg.csv",
+        "c01__sim.csv", "c01__a1__edges.csv", "c01__dg__a1__r0.2__none.txt"}
+    assert sorted(replaced) == written
+
+
+def test_cold_start_never_imports_scipy_stats(toy_path, tmp_path):
+    # a fresh interpreter, so an import made by another test cannot hide one
+    script = (
+        "import sys\n"
+        "from netsumm.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'scipy.stats' in sys.modules)\n")
+    out = tmp_path / "out"
+    src = str(Path(netsumm.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]]
+                 if os.environ.get("PYTHONPATH") else []))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, "evaluate", "--corpus", str(toy_path),
+         "--out", str(out), "--alpha", "1.0", "--r", "0.3",
+         "--measure", "dg,stg,pr", "--ard", "none", "--jobs", "1"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
+    # the correlations were computed: some off-diagonal rho has a value
+    rows = (out / "correlations.csv").read_text(encoding="utf-8").split("\n")
+    assert any(cell and cell != "1.000000"
+               for row in rows[1:] for cell in row.split(",")[1:])

@@ -124,11 +124,66 @@ def test_spearman_matches_hand_rho_with_ties():
             assert m.values[0, 1] == pytest.approx(want, abs=1e-12)
 
 
+def _scipy_spearman_matrix(vectors):
+    """The reference: scipy's spearmanr per pair, NaN where a vector is
+    constant."""
+    from scipy.stats import spearmanr
+    k = len(vectors)
+    want = np.full((k, k), np.nan)
+    np.fill_diagonal(want, 1.0)
+    for i in range(k):
+        for j in range(i + 1, k):
+            x, y = vectors[i], vectors[j]
+            if not (np.all(x == x[0]) or np.all(y == y[0])):
+                want[i, j] = want[j, i] = spearmanr(x, y).statistic
+    return want
+
+
+def test_spearman_matrix_equals_scipy_bit_for_bit():
+    rng = np.random.default_rng(20)
+    labels = ("dg", "stg", "pr", "absT", "gAccess")
+    for trial in range(200):
+        n = int(rng.integers(2, 301))
+        vectors = []
+        for _ in labels:
+            levels = int(rng.integers(1, 6)) if trial % 2 else n
+            x = rng.integers(0, levels, n).astype(float)
+            x[rng.random(n) < 0.1] = np.inf
+            x[rng.random(n) < 0.1] = -np.inf
+            vectors.append(x)
+        if trial % 10 == 9:   # the last trial among them
+            vectors[1][int(rng.integers(n))] = np.nan
+        got = spearman_matrix([_result(m, dict(enumerate(x)))
+                               for m, x in zip(labels, vectors)])
+        want = _scipy_spearman_matrix(vectors)
+        assert np.array_equal(got.values.view(np.int64),
+                              want.view(np.int64)), trial
+    # a NaN score propagates to every pair of its vector
+    assert np.isnan(got.values[1, [0, 2, 3, 4]]).all()
+
+
+def test_write_lines_failure_keeps_the_old_file(tmp_path):
+    target = tmp_path / "report.csv"
+    target.write_text("old\n", encoding="utf-8")
+    # a lone surrogate cannot be encoded: the write fails after the open
+    with pytest.raises(UnicodeEncodeError):
+        evaluate.write_lines(target, ["new", "\udc80"])
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
+    evaluate.write_lines(target, ["new"])
+    assert target.read_text(encoding="utf-8") == "new\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_sweep_grid_validation():
     for bad in (dict(alphas=()), dict(alphas=(0.0,)), dict(rs=(1.0,)),
-                dict(measures=("dg", "nope")), dict(ards=("AR9",))):
+                dict(measures=("dg", "nope")), dict(ards=("AR9",)),
+                dict(alphas=(1.0, 1.5, 1)), dict(rs=(0.2, 0.2)),
+                dict(measures=("dg", "pr", "dg")), dict(ards=("AR1", "AR1"))):
         with pytest.raises(InvalidParameter):
             SweepGrid(**bad)
+    with pytest.raises(InvalidParameter, match="--alpha lists 1"):
+        SweepGrid(alphas=(1.0, 1))
 
 
 def test_sweep_grid_cells_shape():
