@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -48,12 +49,17 @@ class CentralityResult:
     scores: dict
     direction: str
 
+    @cached_property
+    def snapped(self) -> dict:
+        """The scores rounded to 12 significant digits, which every reader
+        of score order ranks on: values that differ only by float summation
+        order compare equal."""
+        return {v: float(f"{x:.12g}") for v, x in self.scores.items()}
+
     def ranked(self) -> list:
-        """Node ids best-first; score ties keep node-id order."""
-        reverse = self.direction == HIGHEST
-        return sorted(self.scores,
-                      key=lambda v: (-self.scores[v] if reverse
-                                     else self.scores[v], v))
+        """Node ids best-first; equal snapped scores keep node-id order."""
+        sign = -1.0 if self.direction == HIGHEST else 1.0
+        return sorted(self.snapped, key=lambda v: (sign * self.snapped[v], v))
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,8 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 
 def spearman_matrix(results: list) -> CorrelationMatrix:
-    """Tie-corrected Spearman rho between measure score vectors.
+    """Tie-corrected Spearman rho between the measures' snapped score
+    vectors (CentralityResult.snapped).
 
     All results must cover the same node set. A constant vector has no
     ranking, so its pairs are NaN (missing), never 0; so are the pairs of a
@@ -132,7 +133,7 @@ def spearman_matrix(results: list) -> CorrelationMatrix:
                 f"result {res.measure} covers a different node set")
     k = len(results)
     values = np.full((k, k), np.nan)
-    vectors = [np.array([res.scores[v] for v in nodes]) for res in results]
+    vectors = [np.array([res.snapped[v] for v in nodes]) for res in results]
     ranks = [None if np.all(x == x[0]) or np.isnan(x).any()
              else _average_ranks(x) for x in vectors]
     for i in range(k):

@@ -172,13 +172,14 @@ def resolve_budget(budget: SummaryBudget, sentences: list) -> tuple:
 
 
 def _rank_order(sentences: list, ranking: CentralityResult) -> list:
+    """Sentence ids by snapped score; ties by (layer, position, id)."""
     by_id = {rec.global_id: rec for rec in sentences}
     sign = -1.0 if ranking.direction == HIGHEST else 1.0
+    scores = ranking.snapped
 
     def key(gid):
         rec = by_id[gid]
-        return (sign * ranking.scores[gid], rec.layer_index,
-                rec.position_in_doc, gid)
+        return (sign * scores[gid], rec.layer_index, rec.position_in_doc, gid)
 
     return sorted(by_id, key=key)
 

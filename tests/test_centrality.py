@@ -15,7 +15,9 @@ from netsumm.centrality import (ALL_MEASURES, HIGHEST, LOWEST,
                                 _true_diversity, pagerank,
                                 saw_probabilities, strength, symmetry)
 from netsumm.errors import ConvergenceError, InvalidParameter
-from netsumm.graph import apply_alpha, from_edges
+from netsumm.evaluate import prepare_cluster
+from netsumm.graph import (MultilayerGraph, apply_alpha, build, from_edges,
+                           remove_weakest)
 
 PATH3 = from_edges(3, [0, 1, 0], [(0, 1, 0.5), (1, 2, 0.5)])
 STAR = from_edges(4, [0, 1, 1, 1], [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
@@ -35,6 +37,18 @@ def test_ranked_directions_and_ties():
     assert res.ranked() == [1, 0, 2]
     res = CentralityResult("sp", {0: 1.0, 1: 3.0, 2: 1.0}, LOWEST)
     assert res.ranked() == [0, 2, 1]
+
+
+def test_ranked_compares_scores_at_12_significant_digits():
+    res = CentralityResult("sym", {0: 0.9999999999999999, 1: 1.0, 2: 0.5},
+                           HIGHEST)
+    assert res.snapped == {0: 1.0, 1: 1.0, 2: 0.5}
+    assert res.ranked() == [0, 1, 2]
+    assert res.scores[0] == 0.9999999999999999  # raw scores stay as computed
+    res = CentralityResult("absT", {0: 28.181818181818155,
+                                    1: 28.181818181818127}, LOWEST)
+    assert res.ranked() == [0, 1]
+    assert res.snapped is res.snapped  # snapped once per result
 
 
 def test_walk_params_validation():
@@ -289,3 +303,55 @@ def test_compute_sym_low_mirrors_sym():
 def test_compute_unknown_measure():
     with pytest.raises(InvalidParameter):
         compute("betweenness", CYCLE4)
+
+
+def _tie_groups(res: CentralityResult) -> list:
+    """The snapped ranking as an ordered list of sets of tied nodes."""
+    groups = []
+    for v in res.ranked():
+        if groups and res.snapped[v] == res.snapped[groups[-1][0]]:
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    return [set(group) for group in groups]
+
+
+def _synthetic_graph():
+    rng = np.random.default_rng(43)
+    records, _ = util.random_records(rng, n_docs=4, n_sentences=40,
+                                     dup_pairs=4)
+    vectors = util.vectors_for(records)
+    return build([vectors[rec.global_id] for rec in records],
+                 [rec.layer_index for rec in records])
+
+
+@pytest.mark.parametrize("source", ["c01", "c02", "synthetic"])
+def test_snapped_ranking_survives_relabelled_nodes(toy_corpus, source):
+    """Relabelling the nodes of the graph a measure reads changes every
+    summation order; the ordered tie groups of every ranking stay put."""
+    if source == "synthetic":
+        base, hs = _synthetic_graph(), (2,)
+        graphs = [base, remove_weakest(base, 0.3)]
+    else:
+        cluster = next(c for c in toy_corpus if c.id == source)
+        base, hs = prepare_cluster(cluster).base, (2, 3)
+        graphs = []
+        for alpha in (0.5, 1.0, 1.9):
+            g_alpha = apply_alpha(base, alpha)
+            graphs += [g_alpha] + [remove_weakest(g_alpha, r)
+                                   for r in (0.1, 0.3)]
+    perm = np.random.default_rng(47).permutation(base.n_nodes)
+    for g in graphs:
+        # node k of `moved` is node perm[k] of g
+        moved = MultilayerGraph(g.W[np.ix_(perm, perm)], g.layers[perm],
+                                g.weighted)
+        for h in hs:
+            params = WalkParams(h=h)
+            for measure in ALL_MEASURES:
+                want = compute(measure, g, params)
+                got = compute(measure, moved, params)
+                back = CentralityResult(measure, {
+                    int(perm[k]): x for k, x in got.scores.items()},
+                    got.direction)
+                assert _tie_groups(back) == _tie_groups(want), \
+                    (measure, h, g.weighted)
