@@ -138,9 +138,7 @@ def degree(g: MultilayerGraph) -> CentralityResult:
 
 
 def strength(g: MultilayerGraph) -> CentralityResult:
-    # summed left to right in neighbour order, edge by edge; numpy's
-    # pairwise row sum can differ in the last bit
-    sums = np.cumsum(_weights(g), axis=1)[:, -1]
+    sums = _weights(g).sum(axis=1)
     return CentralityResult("stg", dict(enumerate(sums.tolist())), HIGHEST)
 
 
@@ -210,24 +208,6 @@ def pagerank(g: MultilayerGraph, weighted: bool,
 MAX_SAW_WALKS = 1_000_000
 
 
-def _split_factors(n: int, d_max: int, h: int) -> list:
-    """factors[k] splits a walk's weight over k options: w * factors[k].
-
-    The first step's split is left out: it is common to every walk from a
-    start and cancels when the endpoint masses are normalized. Later steps
-    have at most d_max - 1 options and multiply by unit // k, with unit the
-    lcm of 1..d_max-1, so weights stay integers. While n * unit**(h-1) is
-    surely below 2**53 every float sum of them is exact, and the normalized
-    probabilities come out correctly rounded, as exact rational arithmetic
-    gives them. Past that the factors are the rounded shares 1/k.
-    """
-    top = max(d_max - 1, 1)
-    unit = math.lcm(*range(1, top + 1))
-    if n.bit_length() + (h - 1) * unit.bit_length() <= 53:
-        return [0] + [unit // k for k in range(1, top + 1)]
-    return [0.0] + [1.0 / k for k in range(1, top + 1)]
-
-
 def _check_walk_count(nbrs: list, starts, h: int) -> None:
     d_max = max(len(s) for s in nbrs)
     bound = sum(len(nbrs[s]) for s in starts) * max(d_max - 1, 0) ** (h - 1)
@@ -242,9 +222,9 @@ def saw_probabilities(g: MultilayerGraph, start: int, h: int) -> dict:
 
     Steps are uniform over unvisited neighbours (edge presence only). Walks
     that dead-end before h steps drop their mass; the endpoint masses of
-    completed walks are renormalized. A depth-first enumeration in floats
-    (see _split_factors for when the result is exact); raises
-    InvalidParameter when the walk-count bound exceeds MAX_SAW_WALKS.
+    completed walks are renormalized. A depth-first enumeration in floats;
+    raises InvalidParameter when the walk-count bound exceeds
+    MAX_SAW_WALKS.
     """
     if h < 1:
         raise InvalidParameter(f"h must be >= 1, got {h}")
@@ -252,12 +232,11 @@ def saw_probabilities(g: MultilayerGraph, start: int, h: int) -> dict:
         return {}  # a walk of h steps visits h + 1 distinct nodes
     nbrs = _neighbours(g)
     _check_walk_count(nbrs, [start], h)
-    return _saw_endpoints(nbrs, start, h, _split_factors(
-        g.n_nodes, max(len(s) for s in nbrs), h))
+    return _saw_endpoints(nbrs, start, h)
 
 
-def _saw_endpoints(nbrs: list, start: int, h: int, split: list) -> dict:
-    """saw_probabilities over prebuilt neighbour sets and split factors."""
+def _saw_endpoints(nbrs: list, start: int, h: int) -> dict:
+    """saw_probabilities over prebuilt neighbour sets."""
     mass: dict = {}
     total = 0.0
 
@@ -270,7 +249,7 @@ def _saw_endpoints(nbrs: list, start: int, h: int, split: list) -> dict:
         options = [u for u in nbrs[v] if u not in visited]
         if not options:
             return
-        share = weight * split[len(options)] if depth else weight
+        share = weight / len(options)
         for u in options:
             extend(u, visited | {u}, depth + 1, share)
 
@@ -296,18 +275,15 @@ def accessibility(g: MultilayerGraph, h: int) -> CentralityResult:
     if h > 2:
         nbrs = _neighbours(g)
         _check_walk_count(nbrs, range(n), h)
-        split = _split_factors(n, max(len(s) for s in nbrs), h)
         return CentralityResult("access", {
-            i: _true_diversity(_saw_endpoints(nbrs, i, h, split).values())
+            i: _true_diversity(_saw_endpoints(nbrs, i, h).values())
             for i in range(n)}, HIGHEST)
     a = (g.W > 0) * 1.0
-    deg = a.sum(axis=1).astype(int)
     if h == 1:
         mass = a
     else:
-        split = np.array(_split_factors(n, int(deg.max(initial=0)), h),
-                         dtype=float)
-        mass = a @ (a * split[np.maximum(deg - 1, 0)][:, None])
+        deg = a.sum(axis=1)
+        mass = a @ (a / np.maximum(deg - 1, 1)[:, None])
         np.fill_diagonal(mass, 0.0)
     totals = mass.sum(axis=1)
     scores = {}
@@ -379,9 +355,9 @@ def symmetry(g: MultilayerGraph, h: int) -> CentralityResult:
     Levels are breadth-first distances from the node; edges inside a level
     and edges pointing back are disregarded, so each step moves from level k
     to level k+1 uniformly over the available forward edges. Dead-ended mass
-    is dropped as in saw_probabilities, and float mass is split the same way
-    (see _split_factors). Scores lie in [0, 1]; nodes with an empty h-th
-    level score 0. Only edge presence is read, so alpha does not change it.
+    is dropped as in saw_probabilities. Scores lie in [0, 1]; nodes with an
+    empty h-th level score 0. Only edge presence is read, so alpha does not
+    change it.
     """
     if h < 1:
         raise InvalidParameter(f"h must be >= 1, got {h}")
@@ -389,7 +365,6 @@ def symmetry(g: MultilayerGraph, h: int) -> CentralityResult:
     if h >= n:
         return CentralityResult("sym", {i: 0.0 for i in range(n)}, HIGHEST)
     nbrs = _neighbours(g)
-    split = _split_factors(n, max(len(s) for s in nbrs), h)
     scores = {}
     for i in range(n):
         level = _bfs_levels(nbrs, i)
@@ -404,7 +379,7 @@ def symmetry(g: MultilayerGraph, h: int) -> CentralityResult:
                 fwd = [u for u in nbrs[v] if level[u] == k + 1]
                 if not fwd:
                     continue
-                share = weight * split[len(fwd)] if k else weight
+                share = weight / len(fwd)
                 for u in fwd:
                     nxt[u] = nxt.get(u, 0.0) + share
             mass = nxt

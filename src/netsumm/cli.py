@@ -235,12 +235,15 @@ def cmd_evaluate(merged: dict) -> int:
         return EXIT_NO_REFERENCES
     grid = _grid_from(merged)
     params = _walk_params(merged)
+    aggregate = merged.get("aggregate", "mean")
+    if aggregate not in ("mean", "max"):
+        raise NetsummError(f"aggregate must be mean or max, got {aggregate!r}")
+    jobs = _number("jobs", merged["jobs"], int) if "jobs" in merged \
+        else os.cpu_count() or 1
+    if jobs < 1:
+        raise NetsummError(f"jobs must be at least 1, got {jobs}")
     out = _out_dir(merged)
-    jobs = _number("jobs", merged.get("jobs", 0), int) \
-        or (os.cpu_count() or 1)
-    report = evaluate.run_sweep(clusters, grid, params,
-                                aggregate=merged.get("aggregate", "mean"),
-                                jobs=jobs)
+    report = evaluate.run_sweep(clusters, grid, params, aggregate, jobs)
     evaluate.write_report_csv(report, out / "report.csv")
     evaluate.write_best_csv(report, out / "best.csv")
     evaluate.write_correlations_csv(report, out / "correlations.csv")

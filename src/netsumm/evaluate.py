@@ -160,8 +160,8 @@ class SweepGrid:
     def __post_init__(self):
         if not (self.alphas and self.rs and self.measures and self.ards):
             raise InvalidParameter("grid lists must be non-empty")
-        if any(a <= 0 for a in self.alphas):
-            raise InvalidParameter("alphas must be positive")
+        if not all(math.isfinite(a) and a > 0 for a in self.alphas):
+            raise InvalidParameter("alphas must be positive and finite")
         if any(not 0 <= r < 1 for r in self.rs):
             raise InvalidParameter("r values must be in [0, 1)")
         unknown = set(self.measures) - set(ALL_MEASURES)

@@ -131,8 +131,8 @@ def from_edges(n_nodes: int, layer_of, edge_tuples, weighted=True
 def apply_alpha(g: MultilayerGraph, alpha: float) -> MultilayerGraph:
     """Scale inter-layer weights by alpha; intra weights pass through
     as-is."""
-    if alpha <= 0:
-        raise InvalidParameter(f"alpha must be > 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise InvalidParameter(f"alpha must be finite and > 0, got {alpha}")
     inter = g.layers[:, None] != g.layers[None, :]
     w = np.where(inter, g.W * alpha, g.W)
     return MultilayerGraph(w, g.layers, g.weighted)

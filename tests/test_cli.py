@@ -239,6 +239,8 @@ def test_summarize_refuses_unbounded_h(toy_path, tmp_path, capsys):
     ("evaluate", [], "alpha = big\n", "alpha"),
     ("summarize", ["--r", "abc"], "", "r"),
     ("evaluate", [], "r = 0.1,abc\n", "r"),
+    ("evaluate", [], "aggregate = median\n", "aggregate"),
+    ("evaluate", ["--jobs", "-3"], "", "jobs"),
 ])
 def test_non_numeric_value_exits_1(tmp_path, capsys, command, flags,
                                    cfg_text, key):
@@ -250,6 +252,7 @@ def test_non_numeric_value_exits_1(tmp_path, capsys, command, flags,
                  "--config", str(cfg)] + flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{key} must be" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, key", [("summarize", "measures"),
@@ -396,6 +399,20 @@ def test_evaluate_rejects_repeated_grid_values(toy_path, tmp_path, capsys):
                  "--ard", "none"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--alpha" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, alpha, flags", [
+    ("evaluate", "nan", ["--measure", "dg,pr", "--r", "0.2", "--ard", "none",
+                         "--jobs", "1"]),
+    ("summarize", "inf", ["--measure", "stg"])])
+def test_non_finite_alpha_exits_1_before_writing(toy_path, tmp_path, capsys,
+                                                 command, alpha, flags):
+    out = tmp_path / "out"
+    assert main([command, "--corpus", str(toy_path), "--out", str(out),
+                 "--alpha", alpha] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
     assert not out.exists()
 
 

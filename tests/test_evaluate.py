@@ -177,6 +177,7 @@ def test_write_lines_failure_keeps_the_old_file(tmp_path):
 
 def test_sweep_grid_validation():
     for bad in (dict(alphas=()), dict(alphas=(0.0,)), dict(rs=(1.0,)),
+                dict(alphas=(math.nan,)), dict(alphas=(1.0, math.inf)),
                 dict(measures=("dg", "nope")), dict(ards=("AR9",)),
                 dict(alphas=(1.0, 1.5, 1)), dict(rs=(0.2, 0.2)),
                 dict(measures=("dg", "pr", "dg")), dict(ards=("AR1", "AR1"))):

@@ -1,11 +1,16 @@
 """Byte-for-byte golden snapshot of the CLI outputs on the toy corpus.
 
 The oracle tests compare scores within a tolerance; a 1-ulp change can
-still flip a tie in a ranking, in the floor-at-cut of remove_weakest or in
-the strict comparisons of AR1/AR2, and so change a summary. Each set of
-files was written by the code before the rewrite it guards (the float walk
-measures; the array-backed graph) and must never be regenerated to make
-these tests pass.
+still flip the floor-at-cut of remove_weakest or the strict comparisons of
+AR1/AR2, or split a tie that straddles a 12-digit rounding boundary, and
+so change a summary. Each set of files was written by the code before the
+rewrite it guards (the float walk measures; the array-backed graph; the
+1/k walk shares) and must never be regenerated to make these tests pass.
+The current files are the outputs of the commit "Rank on scores snapped
+to 12 significant digits": the next commit rewrote the summaries,
+report.csv, best.csv and correlations.csv whose bytes that code changed;
+every other file, the score tables, edge lists and similarity matrix
+included, already held that code's output.
 """
 
 from pathlib import Path

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -110,8 +112,9 @@ def test_apply_alpha_scales_only_inter():
     inter = [e for e in out.edges if e.kind == INTER]
     assert intra[0] == g.edges[0]          # same (u, v, weight, kind)
     assert inter[0].weight == 0.6 * 1.5
-    with pytest.raises(InvalidParameter):
-        apply_alpha(g, 0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            apply_alpha(g, bad)
 
 
 def test_apply_alpha_identity_keeps_values():
