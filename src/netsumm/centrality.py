@@ -98,12 +98,16 @@ class StochasticMatrix:
 
     @classmethod
     def from_graph(cls, g: MultilayerGraph) -> "StochasticMatrix":
+        """The walk on g's weights. Its rows are stochastic by construction,
+        so the checks of __post_init__ are skipped."""
         a = _weights(g)
         sums = a.sum(axis=1)
         p = np.full((g.n_nodes, g.n_nodes), 1.0 / g.n_nodes)
         nz = sums > 0
         p[nz] = a[nz] / sums[nz, None]
-        return cls(p)
+        built = object.__new__(cls)
+        object.__setattr__(built, "p", p)
+        return built
 
 
 def _weights(g: MultilayerGraph) -> np.ndarray:
@@ -126,6 +130,14 @@ def _true_diversity(probabilities) -> float:
             empty = False
             h -= p * math.log(p)
     return 0.0 if empty else math.exp(h)
+
+
+def _row_diversity(rows: np.ndarray) -> np.ndarray:
+    """_true_diversity of each row of a nonnegative matrix; 0 for a row
+    of zeros."""
+    logs = np.log(rows, out=np.zeros_like(rows), where=rows > 0)
+    diversity = np.exp(-(rows * logs).sum(axis=1))
+    return np.where(rows.any(axis=1), diversity, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +297,10 @@ def accessibility(g: MultilayerGraph, h: int) -> CentralityResult:
         deg = a.sum(axis=1)
         mass = a @ (a / np.maximum(deg - 1, 1)[:, None])
         np.fill_diagonal(mass, 0.0)
-    totals = mass.sum(axis=1)
-    scores = {}
-    for i in range(n):
-        row = (mass[i] / totals[i]).tolist() if totals[i] > 0 else []
-        scores[i] = _true_diversity(row)
-    return CentralityResult("access", scores, HIGHEST)
+    totals = mass.sum(axis=1, keepdims=True)
+    rows = np.divide(mass, totals, out=np.zeros_like(mass), where=totals > 0)
+    return CentralityResult("access", dict(enumerate(
+        _row_diversity(rows).tolist())), HIGHEST)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +332,9 @@ def generalized_accessibility(g: MultilayerGraph,
     """
     p_inf = all_lengths_matrix(StochasticMatrix.from_graph(g),
                                params.series_tolerance)
-    linked = g.W.any(axis=1)
-    scores = {}
-    for i in range(g.n_nodes):
-        scores[i] = _true_diversity(p_inf.p[i]) if linked[i] else -math.inf
-    return CentralityResult("gAccess", scores, HIGHEST)
+    scores = np.where(g.W.any(axis=1), _row_diversity(p_inf.p), -math.inf)
+    return CentralityResult("gAccess", dict(enumerate(scores.tolist())),
+                            HIGHEST)
 
 
 # ---------------------------------------------------------------------------
@@ -403,30 +411,34 @@ def sym_low_from(sym: CentralityResult) -> CentralityResult:
 def absorption_time(g: MultilayerGraph) -> CentralityResult:
     """Mean number of random-walk steps to absorption.
 
-    For each node i, i is made absorbing inside its connected component and
-    t_k solves (I - Theta) t = 1 over the remaining component nodes;
-    tau_i is the mean of t. Lower is more central. Nodes in singleton
-    components get +inf.
+    tau_i is the mean, over the other nodes k of i's connected component,
+    of the expected number of steps a walk from k takes to first reach i.
+    Lower is more central. Nodes in singleton components get +inf.
+
+    Each component of `size` nodes is solved once, through the fundamental
+    matrix Z = (I - P + 1 pi^T)^-1 of its walk P, whose stationary pi is
+    proportional to node strength (Kemeny & Snell, Finite Markov Chains,
+    1960): the mean first passage time from k to i is
+    (z_ii - z_ki) / pi_i, so tau_i = sum_k (z_ii - z_ki) / (pi_i (size - 1)).
     """
-    p = StochasticMatrix.from_graph(g).p
-    tau = {i: math.inf for i in range(g.n_nodes)}
+    a = _weights(g)
+    strength = a.sum(axis=1)
+    tau = np.full(g.n_nodes, math.inf)
     for comp in connected_components(g):
-        if len(comp) < 2:
-            continue
         size = len(comp)
-        sub = p[np.ix_(comp, comp)]
-        eye = np.eye(size - 1)
-        for k, i in enumerate(comp):
-            others = [x for x in range(size) if x != k]
-            theta = sub[np.ix_(others, others)]
-            try:
-                # t[x] = expected steps from comp[others[x]] to absorbing i
-                t = np.linalg.solve(eye - theta, np.ones(size - 1))
-            except np.linalg.LinAlgError:
-                raise SingularMatrix(
-                    f"absorption system singular for node {i}") from None
-            tau[i] = float(sum(t) / (size - 1))
-    return CentralityResult("absT", tau, LOWEST)
+        if size < 2:
+            continue
+        s = strength[comp]
+        p = a[np.ix_(comp, comp)] / s[:, None]
+        pi = s / s.sum()
+        try:
+            z = np.linalg.inv(np.eye(size) - p + pi)
+        except np.linalg.LinAlgError:
+            raise SingularMatrix(
+                f"absorption system singular for component of node "
+                f"{comp[0]}") from None
+        tau[comp] = (size * np.diag(z) - z.sum(axis=0)) / (pi * (size - 1))
+    return CentralityResult("absT", dict(enumerate(tau.tolist())), LOWEST)
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = subs.add_parser("evaluate", help="run the sweep, write CSVs")
     _add_common(p_eval)
-    p_eval.add_argument("--aggregate", choices=("mean", "max"),
+    p_eval.add_argument("--aggregate", choices=evaluate.AGGREGATES,
                         help="multi-reference aggregation (default mean)")
     p_eval.add_argument("--jobs",
                         help="parallel cluster workers (default: CPU count, "
@@ -236,12 +236,9 @@ def cmd_evaluate(merged: dict) -> int:
     grid = _grid_from(merged)
     params = _walk_params(merged)
     aggregate = merged.get("aggregate", "mean")
-    if aggregate not in ("mean", "max"):
-        raise NetsummError(f"aggregate must be mean or max, got {aggregate!r}")
     jobs = _number("jobs", merged["jobs"], int) if "jobs" in merged \
         else os.cpu_count() or 1
-    if jobs < 1:
-        raise NetsummError(f"jobs must be at least 1, got {jobs}")
+    evaluate.check_sweep_options(aggregate, jobs)
     out = _out_dir(merged)
     report = evaluate.run_sweep(clusters, grid, params, aggregate, jobs)
     evaluate.write_report_csv(report, out / "report.csv")

@@ -19,6 +19,7 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ _ROUGE_TOKEN_RE = re.compile(r"[a-z0-9]+")
 DEFAULT_ALPHAS = (0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 1.7, 1.9)
 DEFAULT_RS = (0.1, 0.2, 0.3, 0.4, 0.5)
 DEFAULT_ARDS = ("none", "AR1", "AR2")
+AGGREGATES = ("mean", "max")
 
 
 @dataclass(frozen=True)
@@ -67,20 +69,23 @@ def rouge_tokens(text: str) -> list:
     return _ROUGE_TOKEN_RE.findall(text.lower())
 
 
-def rouge1_recall(candidate: str, references: list,
+def rouge1_recall(candidate: str | tuple, references: list,
                   aggregate: str = "mean") -> float:
     """Unigram recall of the candidate against each reference.
 
     Per reference: sum of clipped unigram counts over the reference length.
     Scores are combined with the arithmetic mean (or max when
-    aggregate="max"). A reference is its text or, counted once for many
-    candidates, the Counter of its rouge_tokens.
+    aggregate="max"). The candidate is its text or the tuple of its
+    rouge_tokens, which may leave out the tokens no reference holds. A
+    reference is its text or, counted once for many candidates, the
+    Counter of its rouge_tokens.
     """
-    if aggregate not in ("mean", "max"):
+    if aggregate not in AGGREGATES:
         raise InvalidParameter(f"unknown aggregate {aggregate!r}")
     if not references:
         raise InvalidReference("need at least one reference summary")
-    cand = Counter(rouge_tokens(candidate))
+    cand = Counter(candidate if isinstance(candidate, tuple)
+                   else rouge_tokens(candidate))
     scores = []
     for ref in references:
         ref_counts = ref if isinstance(ref, Counter) \
@@ -88,7 +93,8 @@ def rouge1_recall(candidate: str, references: list,
         total = sum(ref_counts.values())
         if total == 0:
             raise InvalidReference("a reference summary has no words")
-        hit = sum(min(count, cand[tok]) for tok, count in ref_counts.items())
+        hit = sum(min(count, ref_counts[tok]) for tok, count in cand.items()
+                  if tok in ref_counts)
         scores.append(hit / total)
     return max(scores) if aggregate == "max" else sum(scores) / len(scores)
 
@@ -278,7 +284,13 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, params: WalkParams,
         return {key: (None, _skip(exc)) for key in grid.cells()}, None
 
     references = [Counter(rouge_tokens(ref)) for ref in cluster.references]
-    scores = {}  # summary text -> its ROUGE-1 recall
+    # each sentence's tokens that some reference holds; a summary's text
+    # joins its sentences with spaces, so its tokens are theirs
+    vocabulary = set().union(*references)
+    sentence_tokens = {rec.global_id: tuple(
+        tok for tok in rouge_tokens(rec.raw_text) if tok in vocabulary)
+        for rec in prepared.records}
+    scores = {}  # Summary.selected -> its ROUGE-1 recall
     cells = {}
     corr_alpha, corr_r = _corr_point(grid)
     corr_results = {}
@@ -297,16 +309,28 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, params: WalkParams,
                         prepared.records, ranking, cluster.budget,
                         summarize.RedundancyConfig(method=ard),
                         vectors=prepared.state, cluster_id=cluster.id)
-                    score = scores.get(summ.text)
+                    score = scores.get(summ.selected)
                     if score is None:
-                        score = scores[summ.text] = rouge1_recall(
-                            summ.text, references, aggregate)
+                        tokens = tuple(chain.from_iterable(
+                            sentence_tokens[gid] for gid in summ.selected))
+                        score = scores[summ.selected] = rouge1_recall(
+                            tokens, references, aggregate)
                     cells[(measure, alpha, r, ard)] = (score, "")
                 except NetsummError as exc:
                     cells[(measure, alpha, r, ard)] = (None, _skip(exc))
 
     labels = tuple(m for m in grid.measures if m != "sym_low")
     return cells, _corr_snapshot(labels, corr_results)
+
+
+def check_sweep_options(aggregate: str, jobs: int) -> None:
+    """Raise InvalidParameter unless aggregate is one of AGGREGATES and
+    jobs is at least 1."""
+    if aggregate not in AGGREGATES:
+        raise InvalidParameter(
+            f"aggregate must be {' or '.join(AGGREGATES)}, got {aggregate!r}")
+    if jobs < 1:
+        raise InvalidParameter(f"jobs must be at least 1, got {jobs}")
 
 
 def run_sweep(clusters: list, grid: SweepGrid = SweepGrid(),
@@ -322,6 +346,7 @@ def run_sweep(clusters: list, grid: SweepGrid = SweepGrid(),
     """
     if not clusters:
         raise InvalidParameter("no clusters to evaluate")
+    check_sweep_options(aggregate, jobs)
     jobs = min(jobs, len(clusters))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -6,10 +6,14 @@ exceeds L1 = (max - min)/2 of all pairwise similarities in the cluster.
 AR2 skips on a gamma-weighted Jaccard of 1..n-gram sets above the l2
 threshold. Both comparisons are strict.
 
-What select needs beyond the ranking (the AR1 threshold, pairwise cosines,
-n-gram sets, AR2 similarities) does not change across the cells of a sweep;
-a SelectionState holds it for one cluster and computes each piece once. The
-pairwise cosines are the weights of the cluster's base graph.
+What select needs beyond the ranking does not change across the cells of a
+sweep: each sentence's word and character counts, each resolved budget, the
+(layer, position, id) tie keys, and per anti-redundancy config a boolean
+matrix of which sentence a chosen one blocks. A SelectionState holds these
+for one cluster and computes each piece once. AR1's matrix is the pairwise
+cosines (the weights of the cluster's base graph) above L1; AR2's fills a
+row the first time its sentence is chosen. Both tests are symmetric, so a
+candidate is skipped exactly when some chosen sentence's row blocks it.
 """
 
 from __future__ import annotations
@@ -91,12 +95,15 @@ def ngram_similarity(a: SentenceRecord, b: SentenceRecord,
 
 
 class SelectionState:
-    """Per-cluster inputs of select, filled lazily on first use.
+    """Per-cluster inputs of select, each computed once.
 
-    Holds the pairwise cosines and the AR1 threshold computed from them,
-    each sentence's n-gram sets, and the AR2 similarities of the pairs
-    compared so far, per RedundancyConfig. Build one per cluster and pass
-    it to select in place of the vectors; it must not outlive the cluster.
+    Holds, in sentence order: each sentence's word and character counts and
+    its (layer, position, id) tie keys; each resolved budget; the AR1
+    matrix, cosines > L1, built on first use; and per AR2 config the
+    sentences' n-gram sets and a matrix whose row k is filled when sentence
+    k is first chosen. Row k of a matrix marks the sentences that sentence
+    k blocks. Build one per cluster and pass it to select in place of the
+    vectors; it must not outlive the cluster.
 
     similarity: the sentences' pairwise cosines as an n x n array in
     sentence order (the W of the cluster's base graph), or their
@@ -107,53 +114,70 @@ class SelectionState:
     def __init__(self, sentences: list,
                  similarity: np.ndarray | dict | None = None):
         self.sentences = sentences
-        self._pos = {rec.global_id: k for k, rec in enumerate(sentences)}
+        self._id_list = [rec.global_id for rec in sentences]
+        self._tie_keys = (np.array(self._id_list),
+                          np.array([rec.position_in_doc for rec in sentences]),
+                          np.array([rec.layer_index for rec in sentences]))
+        self.words = [word_count(rec.raw_text) for rec in sentences]
+        self.chars = [len(rec.raw_text) for rec in sentences]
         self._cosines = similarity
-        self._l1 = None
-        self._grams = {}
+        self._budgets = {}
+        self._ar1 = None
         self._ar2 = {}
 
-    def _ar1_limit(self) -> float:
-        """The AR1 threshold over every sentence pair's cosine."""
-        if self._l1 is None:
-            if self._cosines is None:
-                raise InvalidInput("AR1 needs the cluster's sentence vectors")
-            if isinstance(self._cosines, dict):
-                self._cosines = graph.cosine_matrix(
-                    [self._cosines[rec.global_id] for rec in self.sentences])
-            n = len(self.sentences)
-            self._l1 = ar1_threshold(self._cosines[np.triu_indices(n, 1)])
-        return self._l1
+    def budget_limit(self, budget: SummaryBudget) -> tuple:
+        """resolve_budget over these sentences."""
+        if budget not in self._budgets:
+            self._budgets[budget] = resolve_budget(budget, self.sentences)
+        return self._budgets[budget]
 
-    def redundancy_test(self, red: RedundancyConfig):
-        """test(candidate, selected) -> True when `red` skips the
-        candidate; None for method "none"."""
+    def rank_order(self, ranking: CentralityResult) -> list:
+        """Sentence positions by snapped score; ties by (layer, position,
+        id)."""
+        sign = -1.0 if ranking.direction == HIGHEST else 1.0
+        scores = np.fromiter(map(ranking.snapped.__getitem__, self._id_list),
+                             float, len(self._id_list))
+        return np.lexsort(self._tie_keys + (sign * scores,)).tolist()
+
+    def redundancy_rows(self, red: RedundancyConfig):
+        """rows(k) -> the boolean row of sentences that `red` skips once
+        sentence k is chosen; None for method "none"."""
+        if red.method == "none":
+            return None
+        n = len(self.sentences)
         if red.method == "AR1":
-            l1 = self._ar1_limit()
-            cosines, pos = self._cosines, self._pos
-            return lambda a, b: \
-                cosines[pos[a.global_id], pos[b.global_id]] > l1
-        if red.method == "AR2":
-            memo = self._ar2.setdefault(red, {})
+            if self._ar1 is None:
+                if self._cosines is None:
+                    raise InvalidInput(
+                        "AR1 needs the cluster's sentence vectors")
+                if isinstance(self._cosines, dict):
+                    self._cosines = graph.cosine_matrix(
+                        [self._cosines[gid] for gid in self._id_list])
+                self._ar1 = self._cosines > ar1_threshold(
+                    self._cosines[np.triu_indices(n, 1)])
+            return self._ar1.__getitem__
+        if red not in self._ar2:
+            self._ar2[red] = (np.zeros((n, n), dtype=bool),
+                              np.zeros(n, dtype=bool),
+                              [ngram_sets(rec.tokens, red.n)
+                               for rec in self.sentences])
+        blocks, filled, grams = self._ar2[red]
 
-            def test(a: SentenceRecord, b: SentenceRecord) -> bool:
-                pair = (a.global_id, b.global_id) \
-                    if a.global_id < b.global_id \
-                    else (b.global_id, a.global_id)
-                sim = memo.get(pair)
-                if sim is None:
-                    sim = memo[pair] = ngram_similarity(
-                        a, b, red, (self._ngram_sets(a, red.n),
-                                    self._ngram_sets(b, red.n)))
-                return sim > red.l2
-            return test
-        return None
-
-    def _ngram_sets(self, rec: SentenceRecord, n: int) -> tuple:
-        key = (rec.global_id, n)
-        if key not in self._grams:
-            self._grams[key] = ngram_sets(rec.tokens, n)
-        return self._grams[key]
+        def rows(k: int) -> np.ndarray:
+            if not filled[k]:
+                # the similarity is symmetric: copy the filled rows' entries
+                # and compare with the rest; sentences without tokens are
+                # never candidates and stay unblocked
+                a = self.sentences[k]
+                for j, b in enumerate(self.sentences):
+                    if filled[j]:
+                        blocks[k, j] = blocks[j, k]
+                    elif j != k and b.tokens:
+                        blocks[k, j] = ngram_similarity(
+                            a, b, red, (grams[k], grams[j])) > red.l2
+                filled[k] = True
+            return blocks[k]
+        return rows
 
 
 def word_count(text: str) -> int:
@@ -169,19 +193,6 @@ def resolve_budget(budget: SummaryBudget, sentences: list) -> tuple:
         total = sum(word_count(rec.raw_text) for rec in sentences)
         return "words", max(1, math.ceil((1.0 - budget.value) * total))
     return budget.kind, int(budget.value)
-
-
-def _rank_order(sentences: list, ranking: CentralityResult) -> list:
-    """Sentence ids by snapped score; ties by (layer, position, id)."""
-    by_id = {rec.global_id: rec for rec in sentences}
-    sign = -1.0 if ranking.direction == HIGHEST else 1.0
-    scores = ranking.snapped
-
-    def key(gid):
-        rec = by_id[gid]
-        return (sign * scores[gid], rec.layer_index, rec.position_in_doc, gid)
-
-    return sorted(by_id, key=key)
 
 
 def select(sentences: list, ranking: CentralityResult, budget: SummaryBudget,
@@ -205,24 +216,23 @@ def select(sentences: list, ranking: CentralityResult, budget: SummaryBudget,
         else SelectionState(sentences, vectors)
     if state.sentences is not sentences:
         raise InvalidParameter("the selection state holds other sentences")
-    redundant = state.redundancy_test(red)
-
-    kind, limit = resolve_budget(budget, sentences)
-    by_id = {rec.global_id: rec for rec in sentences}
+    rows = state.redundancy_rows(red)
+    kind, limit = state.budget_limit(budget)
+    costs = state.words if kind == "words" else state.chars
+    blocked = np.zeros(len(sentences), dtype=bool)
     chosen = []
     used = 0
-    for gid in _rank_order(sentences, ranking):
-        rec = by_id[gid]
-        if not rec.tokens:
+    for k in state.rank_order(ranking):
+        if blocked[k] or not sentences[k].tokens:
             continue
-        if redundant and any(redundant(rec, s) for s in chosen):
-            continue
-        cost = word_count(rec.raw_text) if kind == "words" \
-            else len(rec.raw_text) + (1 if chosen else 0)
+        # a chars budget also counts the space before each later sentence
+        cost = costs[k] + (1 if chosen and kind == "chars" else 0)
         if used + cost > limit:
             continue
-        chosen.append(rec)
+        chosen.append(sentences[k])
         used += cost
+        if rows is not None:
+            blocked |= rows(k)
     if not chosen:
         raise EmptySummary(
             f"no sentence fits the {kind} budget of {limit}")

@@ -12,7 +12,7 @@ from netsumm.centrality import (ALL_MEASURES, HIGHEST, LOWEST,
                                 WalkParams, absorption_time, accessibility,
                                 all_lengths_matrix, avg_shortest_path,
                                 compute, degree, generalized_accessibility,
-                                _true_diversity, pagerank,
+                                _row_diversity, _true_diversity, pagerank,
                                 saw_probabilities, strength, symmetry)
 from netsumm.errors import ConvergenceError, InvalidParameter
 from netsumm.evaluate import prepare_cluster
@@ -286,6 +286,56 @@ def test_absorption_time_matches_fundamental_matrix():
                 assert math.isinf(got.scores[i])
             else:
                 assert got.scores[i] == pytest.approx(want[i], abs=1e-8)
+
+
+def _components_graph(rng, weighted):
+    """A singleton and three random connected blocks of 1-6 nodes, the
+    nodes shuffled, so that components interleave in node order."""
+    sizes = [1] + [int(k) for k in rng.choice([1, 2, 3, 4, 6], size=3)]
+    nodes = rng.permutation(sum(sizes)).tolist()
+    triples, start = [], 0
+    for size in sizes:
+        block = nodes[start:start + size]
+        start += size
+        for k in range(1, size):   # a spanning path keeps the block whole
+            triples.append((block[k - 1], block[k], 0.0))
+        for i, j, _ in util.random_edge_triples(rng, size, p=0.5):
+            if j != i + 1:
+                triples.append((block[i], block[j], 0.0))
+    triples = [(i, j, float(rng.uniform(0.05, 1.0))) for i, j, _ in triples]
+    layers = [int(x) for x in rng.integers(0, 2, len(nodes))]
+    return from_edges(len(nodes), layers, triples, weighted=weighted)
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+def test_absorption_time_per_component_matches_oracle(weighted):
+    rng = np.random.default_rng(67 if weighted else 71)
+    for _ in range(30):
+        g = _components_graph(rng, weighted)
+        got = absorption_time(g).scores
+        want = oracles.absorption_tau_fundamental(
+            g.n_nodes, util.effective_triples(g), True)
+        assert any(math.isinf(x) for x in want)
+        for i in range(g.n_nodes):
+            if math.isinf(want[i]):
+                assert got[i] == math.inf
+            else:
+                assert got[i] == pytest.approx(want[i], rel=1e-9)
+
+
+def test_row_diversity_matches_true_diversity():
+    rng = np.random.default_rng(73)
+    for _ in range(30):
+        rows = util.random_stochastic(rng, n_max=9)
+        rows[int(rng.integers(0, len(rows)))] = 0.0          # a zero row
+        if len(rows) > 1:                                    # one entry
+            rows[int(rng.integers(0, len(rows)))] = np.eye(len(rows))[0]
+        got = _row_diversity(rows)
+        for row, value in zip(rows, got.tolist()):
+            want = _true_diversity(row.tolist())
+            assert value == pytest.approx(want, rel=1e-12, abs=0)
+    assert _row_diversity(np.zeros((2, 3))).tolist() == [0.0, 0.0]
+    assert _row_diversity(np.array([[0.0, 1.0]])).tolist() == [1.0]
 
 
 def test_compute_registry_dispatch():

@@ -222,6 +222,19 @@ def test_evaluate_default_jobs_runs_one_cluster_in_process(tmp_path,
     assert (out / "report.csv").is_file()
 
 
+def test_evaluate_in_two_workers_writes_the_same_bytes(toy_path, tmp_path,
+                                                       capsys):
+    outs = [tmp_path / "jobs1", tmp_path / "jobs2"]
+    for jobs, out in zip(("1", "2"), outs):
+        assert main(["evaluate", "--corpus", str(toy_path), "--out", str(out),
+                     "--jobs", jobs]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "report.csv" in names
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_summarize_refuses_unbounded_h(toy_path, tmp_path, capsys):
     assert main(["summarize", "--corpus", str(toy_path),
                  "--out", str(tmp_path / "out"), "--measure", "access",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from netsumm import centrality, evaluate, preprocess
+from netsumm import centrality, evaluate, preprocess, summarize
 from netsumm.centrality import (ALL_MEASURES, HIGHEST, CentralityResult,
                                 WalkParams)
 from netsumm.corpus import SummaryBudget
@@ -57,26 +57,52 @@ def test_rouge1_recall_takes_counted_references():
     refs = ["The cat sat.", "a cat ran fast"]
     counted = [Counter(rouge_tokens(ref)) for ref in refs]
     for aggregate in ("mean", "max"):
-        assert rouge1_recall("the cat ran", counted, aggregate) == \
-            rouge1_recall("the cat ran", refs, aggregate)
+        want = rouge1_recall("the cat ran", refs, aggregate)
+        assert rouge1_recall("the cat ran", counted, aggregate) == want
+        assert rouge1_recall(("the", "cat", "ran"), counted, aggregate) \
+            == want
     with pytest.raises(InvalidReference):
         rouge1_recall("a", [Counter()])
 
 
 def test_run_sweep_scores_each_distinct_summary_once(toy_corpus,
                                                      monkeypatch):
-    texts = []
-    rouge1 = evaluate.rouge1_recall
+    summaries, scored = [], []
+    rouge1, select = evaluate.rouge1_recall, summarize.select
+
+    def recorded_select(*args, **kwargs):
+        summaries.append(select(*args, **kwargs))
+        return summaries[-1]
 
     def counted(candidate, references, aggregate="mean"):
-        texts.append(candidate)
+        # the candidate is the latest summary's tokens, less those no
+        # reference holds
+        vocabulary = set().union(*references)
+        assert candidate == tuple(tok for tok in rouge_tokens(
+            summaries[-1].text) if tok in vocabulary)
+        scored.append((summaries[-1].selected, candidate))
         return rouge1(candidate, references, aggregate)
 
+    monkeypatch.setattr(summarize, "select", recorded_select)
     monkeypatch.setattr(evaluate, "rouge1_recall", counted)
     grid = SweepGrid(alphas=(0.5, 1.0), rs=(0.2, 0.3),
                      measures=("dg", "stg", "pr"), ards=("none", "AR1"))
     report = run_sweep(toy_corpus[:1], grid)
-    assert len(texts) == len(set(texts)) < len(report.rows)
+    selections = [selected for selected, _ in scored]
+    assert selections
+    assert len(selections) == len(set(selections)) \
+        == len({summ.selected for summ in summaries}) < len(report.rows)
+
+
+def test_run_sweep_checks_aggregate_and_jobs_first(toy_corpus, monkeypatch):
+    def no_preparation(cluster):
+        raise AssertionError("a cluster was prepared")
+
+    monkeypatch.setattr(evaluate, "prepare_cluster", no_preparation)
+    grid = SweepGrid(alphas=(1.0,), rs=(0.2,), measures=("dg",))
+    for kwargs in (dict(aggregate="median"), dict(jobs=0), dict(jobs=-3)):
+        with pytest.raises(InvalidParameter):
+            run_sweep(toy_corpus, grid, **kwargs)
 
 
 def _result(measure, scores):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import util
 from netsumm.centrality import CentralityResult, HIGHEST, LOWEST
@@ -7,7 +11,7 @@ from netsumm.corpus import SummaryBudget
 from netsumm.errors import EmptySummary, InvalidInput, InvalidParameter
 from netsumm.preprocess import SentenceRecord
 from netsumm import graph, summarize
-from netsumm.summarize import (RedundancyConfig, SelectionState,
+from netsumm.summarize import (RedundancyConfig, SelectionState, Summary,
                                ar1_threshold, ngram_sets, ngram_similarity,
                                resolve_budget, select, word_count)
 
@@ -225,3 +229,109 @@ def test_select_rejects_a_state_of_other_sentences():
 def test_word_count():
     assert word_count("two  words") == 2
     assert word_count("") == 0
+
+
+def _greedy_by_any(sentences, ranking, budget, red, cosines):
+    """select's rule as a plain greedy loop: sort by (snapped score, layer,
+    position, id), resolve the budget and count each candidate's words
+    afresh, and test each candidate against every chosen sentence."""
+    by_id = {r.global_id: r for r in sentences}
+    pos = {r.global_id: k for k, r in enumerate(sentences)}
+    if red.method == "AR1":
+        l1 = ar1_threshold(cosines[np.triu_indices(len(sentences), 1)])
+
+        def redundant(a, b):
+            return cosines[pos[a.global_id], pos[b.global_id]] > l1
+    elif red.method == "AR2":
+        def redundant(a, b):
+            return ngram_similarity(a, b, red) > red.l2
+    else:
+        redundant = None
+    sign = -1.0 if ranking.direction == HIGHEST else 1.0
+
+    def key(gid):
+        r = by_id[gid]
+        return (sign * ranking.snapped[gid], r.layer_index,
+                r.position_in_doc, gid)
+
+    kind, limit = resolve_budget(budget, sentences)
+    chosen = []
+    used = 0
+    for gid in sorted(by_id, key=key):
+        r = by_id[gid]
+        if not r.tokens:
+            continue
+        if redundant and any(redundant(r, s) for s in chosen):
+            continue
+        cost = word_count(r.raw_text) if kind == "words" \
+            else len(r.raw_text) + (1 if chosen else 0)
+        if used + cost > limit:
+            continue
+        chosen.append(r)
+        used += cost
+    if not chosen:
+        raise EmptySummary(f"no sentence fits the {kind} budget of {limit}")
+    return Summary("c", tuple(r.global_id for r in chosen),
+                   " ".join(r.raw_text for r in chosen), used)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (EmptySummary, InvalidInput) as exc:
+        return type(exc)
+
+
+# 0.5 and 0.5 + 1e-14 snap to the same 12 digits, so they tie
+SCORES = st.sampled_from([0.0, 0.5, 0.5 + 1e-14, 1.0, 2.0, -math.inf])
+TOKENS = st.lists(st.sampled_from(["river", "flood", "town", "storm", "crew"]),
+                  max_size=6)
+
+
+@st.composite
+def selection_cases(draw):
+    n = draw(st.integers(1, 8))
+    ids = draw(st.permutations(range(10, 10 + n)))
+    records, positions = [], {}
+    for gid in ids:
+        layer = draw(st.integers(0, 2))
+        tokens = tuple(draw(TOKENS))
+        # raw text may carry words the tokens dropped, or none at all
+        raw = " ".join(draw(st.sampled_from([(), ("the",), ("of", "a")]))
+                       + tokens)
+        records.append(SentenceRecord(gid, f"d{layer}", layer,
+                                      positions.setdefault(layer, 0), raw,
+                                      tokens))
+        positions[layer] += 1
+    upper = np.triu(np.array(draw(st.lists(
+        st.lists(st.sampled_from([0.0, 0.1, 0.4, 0.9]), min_size=n,
+                 max_size=n), min_size=n, max_size=n))), 1)
+    cosines = upper + upper.T
+    calls = draw(st.lists(st.tuples(
+        st.lists(SCORES, min_size=n, max_size=n),
+        st.sampled_from([HIGHEST, LOWEST]),
+        st.one_of(st.builds(SummaryBudget, st.just("words"),
+                            st.integers(1, 20)),
+                  st.builds(SummaryBudget, st.just("chars"),
+                            st.integers(1, 80)),
+                  st.builds(SummaryBudget, st.just("compression"),
+                            st.sampled_from([0.1, 0.5, 0.9]))),
+        st.sampled_from([RedundancyConfig(), RedundancyConfig("AR1"),
+                         RedundancyConfig("AR2"),
+                         RedundancyConfig("AR2", l2=0.3)])),
+        min_size=1, max_size=6))
+    return records, cosines, calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(selection_cases())
+def test_select_matches_the_greedy_rule(case):
+    records, cosines, calls = case
+    state = SelectionState(records, cosines)
+    for scores, direction, budget, red in calls:
+        ranking = CentralityResult(
+            "dg", dict(zip((r.global_id for r in records), scores)),
+            direction)
+        assert _outcome(select, records, ranking, budget, red, state, "c") \
+            == _outcome(_greedy_by_any, records, ranking, budget, red,
+                        cosines)
