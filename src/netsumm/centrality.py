@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path as _sp_shortest_path
 
@@ -67,7 +68,6 @@ class WalkParams:
     h: int = 2
     pagerank_gamma: float = 0.85
     pagerank_beta: float | None = None  # None -> (1 - gamma) / n
-    series_tolerance: float = 1e-12
     power_iter_tolerance: float = 1e-10
     max_iterations: int = 10000
 
@@ -78,8 +78,8 @@ class WalkParams:
             raise InvalidParameter("pagerank_gamma must be in (0, 1)")
         if self.pagerank_beta is not None and not 0 < self.pagerank_beta < 1:
             raise InvalidParameter("pagerank_beta must be in (0, 1)")
-        if self.series_tolerance <= 0 or self.power_iter_tolerance <= 0:
-            raise InvalidParameter("tolerances must be positive")
+        if self.power_iter_tolerance <= 0:
+            raise InvalidParameter("power_iter_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -306,32 +306,17 @@ def accessibility(g: MultilayerGraph, h: int) -> CentralityResult:
 # ---------------------------------------------------------------------------
 # all-lengths (generalized) accessibility
 
-def all_lengths_matrix(p: StochasticMatrix, tol: float) -> StochasticMatrix:
-    """(1/e) * sum_j P^j / j!, truncated once the added term's max-norm
-    drops below tol."""
-    if tol <= 0:
-        raise InvalidParameter(f"tolerance must be positive, got {tol}")
-    term = np.eye(p.p.shape[0])
-    acc = term.copy()
-    j = 0
-    while np.abs(term).max() >= tol:
-        j += 1
-        if j > 500:
-            raise ConvergenceError("factorial series failed to shrink", j)
-        term = term @ p.p / j
-        acc += term
-    return StochasticMatrix(acc / math.e)
+def all_lengths_matrix(p: StochasticMatrix) -> StochasticMatrix:
+    """(1/e) * sum_j P^j / j! = exp(P) / e, by scipy.linalg.expm."""
+    return StochasticMatrix(expm(p.p) / math.e)
 
 
-def generalized_accessibility(g: MultilayerGraph,
-                              params: WalkParams = WalkParams()
-                              ) -> CentralityResult:
+def generalized_accessibility(g: MultilayerGraph) -> CentralityResult:
     """exp-entropy of each row of the all-lengths transition matrix.
 
     Isolated nodes have no walk dynamics; they get -inf so they rank last.
     """
-    p_inf = all_lengths_matrix(StochasticMatrix.from_graph(g),
-                               params.series_tolerance)
+    p_inf = all_lengths_matrix(StochasticMatrix.from_graph(g))
     scores = np.where(g.W.any(axis=1), _row_diversity(p_inf.p), -math.inf)
     return CentralityResult("gAccess", dict(enumerate(scores.tolist())),
                             HIGHEST)
@@ -339,22 +324,6 @@ def generalized_accessibility(g: MultilayerGraph,
 
 # ---------------------------------------------------------------------------
 # concentric symmetry
-
-def _bfs_levels(nbrs: list, start: int) -> dict:
-    level = {start: 0}
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for u in nbrs[v]:
-                if u not in level:
-                    level[u] = d
-                    nxt.append(u)
-        frontier = nxt
-    return level
-
 
 def symmetry(g: MultilayerGraph, h: int) -> CentralityResult:
     """Accessibility over outward level-by-level walks, normalized by the
@@ -366,38 +335,28 @@ def symmetry(g: MultilayerGraph, h: int) -> CentralityResult:
     is dropped as in saw_probabilities. Scores lie in [0, 1]; nodes with an
     empty h-th level score 0. Only edge presence is read, so alpha does not
     change it.
+
+    All start nodes walk at once: row i of `level` and of `mass` is node i's.
     """
     if h < 1:
         raise InvalidParameter(f"h must be >= 1, got {h}")
-    n = g.n_nodes
-    if h >= n:
-        return CentralityResult("sym", {i: 0.0 for i in range(n)}, HIGHEST)
-    nbrs = _neighbours(g)
-    scores = {}
-    for i in range(n):
-        level = _bfs_levels(nbrs, i)
-        xi = [v for v, d in level.items() if d == h]
-        if not xi:
-            scores[i] = 0.0
-            continue
-        mass = {i: 1.0}
-        for k in range(h):
-            nxt: dict = {}
-            for v, weight in mass.items():
-                fwd = [u for u in nbrs[v] if level[u] == k + 1]
-                if not fwd:
-                    continue
-                share = weight / len(fwd)
-                for u in fwd:
-                    nxt[u] = nxt.get(u, 0.0) + share
-            mass = nxt
-        total = sum(mass.values())
-        if total == 0:
-            scores[i] = 0.0
-            continue
-        diversity = _true_diversity(p / total for p in mass.values())
-        scores[i] = diversity / len(xi)
-    return CentralityResult("sym", scores, HIGHEST)
+    a = (g.W > 0) * 1.0
+    level = _sp_shortest_path(csr_matrix(a), directed=False, unweighted=True)
+    sizes = (level == h).sum(axis=1)
+    if not sizes.any():  # as when h >= n; the walk below has h < n steps
+        return CentralityResult("sym", dict.fromkeys(range(g.n_nodes), 0.0),
+                                HIGHEST)
+    mass = np.eye(g.n_nodes)
+    for k in range(1, h + 1):
+        ahead = (level == k) * 1.0
+        forward = ahead @ a  # forward edges out of each node, per start
+        share = np.divide(mass, forward, out=np.zeros_like(mass),
+                          where=forward > 0)
+        mass = (share @ a) * ahead
+    totals = mass.sum(axis=1, keepdims=True)  # 0 only where level h is empty
+    diversity = _row_diversity(mass / np.where(totals > 0, totals, 1.0))
+    scores = diversity / np.maximum(sizes, 1)
+    return CentralityResult("sym", dict(enumerate(scores.tolist())), HIGHEST)
 
 
 def sym_low_from(sym: CentralityResult) -> CentralityResult:
@@ -466,7 +425,7 @@ def compute(measure: str, g: MultilayerGraph,
     if measure == "access":
         return accessibility(g, params.h)
     if measure == "gAccess":
-        return generalized_accessibility(g, params)
+        return generalized_accessibility(g)
     if measure == "sym":
         return symmetry(g, params.h)
     if measure == "sym_low":

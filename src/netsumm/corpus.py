@@ -95,8 +95,8 @@ def parse_budget(value: str) -> SummaryBudget:
         raise CorpusFormatError(f"budget value {amount!r} is not a number") \
             from None
     if kind in ("words", "chars"):
-        if num != int(num):
-            raise CorpusFormatError(f"{kind} budget must be an integer")
+        if not num.is_integer():  # False for nan and inf
+            raise CorpusFormatError(f"{kind} budget must be a finite integer")
         return SummaryBudget(kind, int(num))
     return SummaryBudget(kind, num)
 

@@ -168,7 +168,7 @@ def test_acceptance_4_series_truncation():
     worst_row = 0.0
     for _ in range(100):
         p = util.random_stochastic(rng, n_max=10)
-        got = all_lengths_matrix(StochasticMatrix(p), 1e-12).p
+        got = all_lengths_matrix(StochasticMatrix(p)).p
         want = oracles.series_30_terms(p)
         worst = max(worst, float(np.abs(got - want).max()))
         worst_row = max(worst_row, float(np.abs(got.sum(axis=1) - 1).max()))

@@ -52,7 +52,7 @@ def test_ranked_directions_and_ties():
 def test_walk_params_validation():
     WalkParams(h=3, pagerank_gamma=0.9)
     for bad in (dict(h=0), dict(pagerank_gamma=1.0), dict(pagerank_beta=0.0),
-                dict(series_tolerance=0.0), dict(power_iter_tolerance=-1.0)):
+                dict(power_iter_tolerance=-1.0)):
         with pytest.raises(InvalidParameter):
             WalkParams(**bad)
 
@@ -208,12 +208,10 @@ def test_all_lengths_matrix_matches_series():
     rng = np.random.default_rng(29)
     for _ in range(20):
         p = util.random_stochastic(rng, n_max=8)
-        got = all_lengths_matrix(StochasticMatrix(p), 1e-12).p
+        got = all_lengths_matrix(StochasticMatrix(p)).p
         want = oracles.series_30_terms(p)
         assert np.abs(got - want).max() < 1e-9
         assert np.allclose(got.sum(axis=1), 1.0, atol=1e-9)
-    with pytest.raises(InvalidParameter):
-        all_lengths_matrix(StochasticMatrix(np.eye(2)), 0.0)
 
 
 def test_generalized_accessibility_isolated_ranks_last():
@@ -227,6 +225,32 @@ def test_generalized_accessibility_isolated_ranks_last():
         oracles.true_diversity({j: p_inf[0, j] for j in range(3)}), abs=1e-9)
 
 
+def test_generalized_accessibility_matches_series_oracle():
+    # multi-component graphs: exp(P) is exactly 0 between components, so
+    # the p >= 0 check of StochasticMatrix holds; the singleton scores -inf
+    rng = np.random.default_rng(79)
+    graphs = [util.random_graph(rng, n_max=9) for _ in range(20)]
+    graphs += [_components_graph(rng, weighted) for weighted in (True, False)
+               for _ in range(10)]
+    for g in graphs:
+        n, eff = g.n_nodes, util.effective_triples(g)
+        comp_of = {v: k for k, comp in enumerate(oracles.components(n, eff))
+                   for v in comp}
+        got_inf = all_lengths_matrix(StochasticMatrix.from_graph(g)).p
+        want_inf = oracles.series_30_terms(
+            oracles.transition_matrix(n, eff, True))
+        got = generalized_accessibility(g).scores
+        for i in range(n):
+            if not g.W[i].any():
+                assert got[i] == -math.inf
+                continue
+            apart = [j for j in range(n) if comp_of[j] != comp_of[i]]
+            assert (got_inf[i, apart] == 0.0).all()
+            assert got[i] == pytest.approx(oracles.true_diversity(
+                {j: want_inf[i, j] for j in range(n)}), abs=1e-9)
+    assert -math.inf in got.values()
+
+
 def test_symmetry_path_hand_values():
     res = symmetry(PATH3, 2)
     assert res.scores == {0: 1.0, 1: 0.0, 2: 1.0}
@@ -235,19 +259,21 @@ def test_symmetry_path_hand_values():
 
 def test_symmetry_matches_forward_walk_oracle():
     rng = np.random.default_rng(31)
-    for _ in range(40):
-        g = util.random_graph(rng, n_max=7)
+    graphs = [util.random_graph(rng, n_max=7) for _ in range(40)]
+    graphs += [_components_graph(rng, weighted) for weighted in (True, False)
+               for _ in range(10)]
+    for g in graphs:
         adj = util.adjacency_dict(g)
-        h = int(rng.integers(1, 4))
-        res = symmetry(g, h)
-        for i in range(g.n_nodes):
-            xi = oracles.level_set(adj, i, h)
-            if not xi:
-                assert res.scores[i] == 0.0
-                continue
-            dist = oracles.forward_walk_distribution(adj, i, h)
-            want = oracles.true_diversity(dist) / len(xi) if dist else 0.0
-            assert res.scores[i] == pytest.approx(want, abs=1e-12)
+        for h in (1, 2, 3, 4):
+            res = symmetry(g, h)
+            for i in range(g.n_nodes):
+                xi = oracles.level_set(adj, i, h)
+                if not xi:
+                    assert res.scores[i] == 0.0
+                    continue
+                dist = oracles.forward_walk_distribution(adj, i, h)
+                want = oracles.true_diversity(dist) / len(xi) if dist else 0.0
+                assert res.scores[i] == pytest.approx(want, abs=1e-12)
 
 
 def test_symmetry_is_alpha_invariant():

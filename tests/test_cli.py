@@ -122,6 +122,26 @@ def test_summarize_unsatisfiable_budget_fails(toy_path, tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget, manifest", [
+    ("words:nan", None), ("words:inf", None), ("chars:1e400", None),
+    (None, "budget = words:nan\n")])
+def test_non_finite_budget_exits_1_before_writing(tmp_path, capsys, budget,
+                                                  manifest):
+    root = _mini_corpus(tmp_path)
+    flags = []
+    if budget:
+        flags = ["--budget", budget]
+    else:
+        (root / "c1" / "manifest").write_text(manifest, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["summarize", "--corpus", str(root), "--out", str(out),
+                 "--measure", "dg"] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_summarize_dump_flags(toy_path, tmp_path):
     out = tmp_path / "out"
     assert main(["summarize", "--corpus", str(toy_path), "--out", str(out),

@@ -34,6 +34,10 @@ def test_parse_budget_kinds():
     "compression:1.2",   # rate out of range
     "compression:0",
     "lines:3",           # unknown kind
+    "words:nan",         # not finite
+    "words:inf",
+    "chars:1e400",       # overflows to inf
+    "compression:nan",
 ])
 def test_parse_budget_rejects(bad):
     with pytest.raises(CorpusFormatError):
