@@ -157,21 +157,21 @@ def strength(g: MultilayerGraph) -> CentralityResult:
 def avg_shortest_path(g: MultilayerGraph, weighted: bool) -> CentralityResult:
     """Mean distance to every other node; lowest is most central.
 
-    Hop counts when unweighted; edge length 1/w when weighted. A graph
-    flagged unweighted keeps every length at 1 even if the edges still
-    carry weights. Unreachable pairs contribute D_max + 1, the largest
-    finite distance plus one.
+    Hop counts (g.hops) when unweighted; edge length 1/w, by Dijkstra, when
+    weighted. A graph flagged unweighted keeps every length at 1 even if
+    the edges still carry weights. Unreachable pairs contribute D_max + 1,
+    the largest finite distance plus one.
     """
     n = g.n_nodes
     measure = "sp_w" if weighted else "sp"
     if n < 2:
         return CentralityResult(measure, {i: 0.0 for i in range(n)}, LOWEST)
-    a = _weights(g)
-    lengths = np.divide(1.0, a, out=np.zeros_like(a), where=a > 0) \
-        if weighted else (a > 0) * 1.0
-    mat = csr_matrix(lengths)
-    dist = _sp_shortest_path(mat, method="D", directed=False,
-                             unweighted=not weighted)
+    if weighted and g.weighted:
+        lengths = np.divide(1.0, g.W, out=np.zeros_like(g.W), where=g.W > 0)
+        dist = _sp_shortest_path(csr_matrix(lengths), method="D",
+                                 directed=False)
+    else:
+        dist = g.hops
     off = dist[~np.eye(n, dtype=bool)]
     finite = off[np.isfinite(off)]
     penalty = (float(finite.max()) if finite.size else 0.0) + 1.0
@@ -336,12 +336,13 @@ def symmetry(g: MultilayerGraph, h: int) -> CentralityResult:
     empty h-th level score 0. Only edge presence is read, so alpha does not
     change it.
 
-    All start nodes walk at once: row i of `level` and of `mass` is node i's.
+    All start nodes walk at once: row i of `level` (g.hops) and of `mass`
+    is node i's.
     """
     if h < 1:
         raise InvalidParameter(f"h must be >= 1, got {h}")
     a = (g.W > 0) * 1.0
-    level = _sp_shortest_path(csr_matrix(a), directed=False, unweighted=True)
+    level = g.hops
     sizes = (level == h).sum(axis=1)
     if not sizes.any():  # as when h >= n; the walk below has h < n steps
         return CentralityResult("sym", dict.fromkeys(range(g.n_nodes), 0.0),

@@ -17,7 +17,6 @@ import math
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -69,34 +68,49 @@ def rouge_tokens(text: str) -> list:
     return _ROUGE_TOKEN_RE.findall(text.lower())
 
 
-def rouge1_recall(candidate: str | tuple, references: list,
+class RougeReferences:
+    """The reference summaries of one cluster as unigram count rows over
+    their vocabulary, counted once for many candidates. Raises
+    InvalidReference when there is no reference or one has no words."""
+
+    def __init__(self, references: list):
+        if not references:
+            raise InvalidReference("need at least one reference summary")
+        tokens = [rouge_tokens(ref) for ref in references]
+        self.columns = {tok: k for k, tok in enumerate(
+            dict.fromkeys(chain.from_iterable(tokens)))}
+        self.rows = np.array([self.counts(toks) for toks in tokens])
+        self.totals = [len(toks) for toks in tokens]
+        if 0 in self.totals:
+            raise InvalidReference("a reference summary has no words")
+
+    def counts(self, tokens) -> np.ndarray:
+        """The count row of a token sequence; tokens no reference holds are
+        left out."""
+        columns = [self.columns[tok] for tok in tokens if tok in self.columns]
+        return np.bincount(columns, minlength=len(self.columns))
+
+    def recall(self, counts: np.ndarray, aggregate: str) -> float:
+        """ROUGE-1 recall of the candidate with count row `counts`: per
+        reference, clipped hits over the reference length, combined in
+        reference order by the mean or, for aggregate="max", the max."""
+        hits = np.minimum(counts, self.rows).sum(axis=1).tolist()
+        scores = [hit / total for hit, total in zip(hits, self.totals)]
+        return max(scores) if aggregate == "max" else sum(scores) / len(scores)
+
+
+def rouge1_recall(candidate: str, references: list,
                   aggregate: str = "mean") -> float:
-    """Unigram recall of the candidate against each reference.
+    """Unigram recall of the candidate text against each reference text.
 
     Per reference: sum of clipped unigram counts over the reference length.
     Scores are combined with the arithmetic mean (or max when
-    aggregate="max"). The candidate is its text or the tuple of its
-    rouge_tokens, which may leave out the tokens no reference holds. A
-    reference is its text or, counted once for many candidates, the
-    Counter of its rouge_tokens.
+    aggregate="max").
     """
     if aggregate not in AGGREGATES:
         raise InvalidParameter(f"unknown aggregate {aggregate!r}")
-    if not references:
-        raise InvalidReference("need at least one reference summary")
-    cand = Counter(candidate if isinstance(candidate, tuple)
-                   else rouge_tokens(candidate))
-    scores = []
-    for ref in references:
-        ref_counts = ref if isinstance(ref, Counter) \
-            else Counter(rouge_tokens(ref))
-        total = sum(ref_counts.values())
-        if total == 0:
-            raise InvalidReference("a reference summary has no words")
-        hit = sum(min(count, ref_counts[tok]) for tok, count in cand.items()
-                  if tok in ref_counts)
-        scores.append(hit / total)
-    return max(scores) if aggregate == "max" else sum(scores) / len(scores)
+    refs = RougeReferences(references)
+    return refs.recall(refs.counts(rouge_tokens(candidate)), aggregate)
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +297,17 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, params: WalkParams,
     except NetsummError as exc:
         return {key: (None, _skip(exc)) for key in grid.cells()}, None
 
-    references = [Counter(rouge_tokens(ref)) for ref in cluster.references]
-    # each sentence's tokens that some reference holds; a summary's text
-    # joins its sentences with spaces, so its tokens are theirs
-    vocabulary = set().union(*references)
-    sentence_tokens = {rec.global_id: tuple(
-        tok for tok in rouge_tokens(rec.raw_text) if tok in vocabulary)
-        for rec in prepared.records}
-    scores = {}  # Summary.selected -> its ROUGE-1 recall
+    try:
+        references = RougeReferences(cluster.references)
+    except NetsummError as exc:
+        references, unscorable = None, (None, _skip(exc))
+    else:
+        # each sentence's count row; a summary's text joins its sentences
+        # with spaces, so its row is the sum of theirs
+        row_of = {rec.global_id: k for k, rec in enumerate(prepared.records)}
+        sentence_rows = np.array([references.counts(rouge_tokens(
+            rec.raw_text)) for rec in prepared.records])
+    scored = {}  # Summary.selected -> (its ROUGE-1 recall, note)
     cells = {}
     corr_alpha, corr_r = _corr_point(grid)
     corr_results = {}
@@ -305,19 +322,21 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, params: WalkParams,
                 corr_results[measure] = ranking
             for ard in grid.ards:
                 try:
-                    summ = summarize.select(
+                    selected = summarize.select(
                         prepared.records, ranking, cluster.budget,
                         summarize.RedundancyConfig(method=ard),
-                        vectors=prepared.state, cluster_id=cluster.id)
-                    score = scores.get(summ.selected)
-                    if score is None:
-                        tokens = tuple(chain.from_iterable(
-                            sentence_tokens[gid] for gid in summ.selected))
-                        score = scores[summ.selected] = rouge1_recall(
-                            tokens, references, aggregate)
-                    cells[(measure, alpha, r, ard)] = (score, "")
+                        vectors=prepared.state, cluster_id=cluster.id
+                    ).selected
                 except NetsummError as exc:
                     cells[(measure, alpha, r, ard)] = (None, _skip(exc))
+                    continue
+                if references is None:
+                    scored[selected] = unscorable
+                elif selected not in scored:
+                    rows = [row_of[gid] for gid in selected]
+                    scored[selected] = (references.recall(
+                        sentence_rows[rows].sum(axis=0), aggregate), "")
+                cells[(measure, alpha, r, ard)] = scored[selected]
 
     labels = tuple(m for m in grid.measures if m != "sym_low")
     return cells, _corr_snapshot(labels, corr_results)

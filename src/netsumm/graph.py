@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components as _cc_labels
 
 from .errors import EmptyGraph, InvalidInput, InvalidParameter
 from .tfidf import cosine
@@ -43,6 +43,14 @@ class MultilayerGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.layers)
+
+    @cached_property
+    def hops(self) -> np.ndarray:
+        """Hop count between every pair of nodes: inf between components,
+        0 on the diagonal. Reads edge presence only; read-only."""
+        hops = _hop_matrix(self.W > 0)
+        hops.flags.writeable = False
+        return hops
 
     @property
     def edges(self) -> tuple:
@@ -150,16 +158,47 @@ def remove_weakest(g: MultilayerGraph, r: float) -> MultilayerGraph:
     weights = g.W[us, vs]
     # epsilon guards products like 0.3 * 10 that land just below an integer
     k = math.floor(r * len(weights) + 1e-9)
-    drop = np.lexsort((vs, us, weights))[:k]
+    # the pairs come in (u, v) order, which a stable sort keeps among ties
+    drop = np.argsort(weights, kind="stable")[:k]
     w = g.W.copy()
     w[us[drop], vs[drop]] = w[vs[drop], us[drop]] = 0.0
     return MultilayerGraph(w, g.layers, weighted=False)
 
 
+def _hop_matrix(adjacency: np.ndarray) -> np.ndarray:
+    """All-pairs hop counts of an undirected graph from its boolean
+    adjacency, by Seidel's doubling (Seidel, "On the all-pairs-shortest-path
+    problem in unweighted undirected graphs", JCSS 1995).
+
+    The square of a graph joins the nodes at most two hops apart; after
+    O(log n) squarings every component is a clique, where hops are 1. Going
+    back down, the hops d of a graph follow from the hops e of its square:
+    d[i, j] = 2 e[i, j], less 1 where e[i, k] summed over the neighbours k
+    of j falls short of e[i, j] times the degree of j. Every entry and sum
+    is an integer below n^2, exact in float64, so each level is two exact
+    matrix products and the whole costs O(n^3 log n) on any graph.
+    """
+    n = len(adjacency)
+    off_diagonal = ~np.eye(n, dtype=bool)
+    graphs = [adjacency * 1.0]
+    while True:
+        a = graphs[-1]
+        square = ((a @ a > 0) | (a > 0)) & off_diagonal
+        if (square == (a > 0)).all():
+            break
+        graphs.append(square * 1.0)
+    hops = graphs.pop()
+    reach = (hops > 0) | ~off_diagonal
+    for a in reversed(graphs):
+        hops = 2 * hops - (hops @ a < hops * a.sum(axis=0))
+    hops[~reach] = math.inf
+    return hops
+
+
 def connected_components(g: MultilayerGraph) -> list:
     """Components as sorted node lists, ordered by smallest member."""
-    _, labels = _cc_labels(g.W, directed=False)
+    first = np.isfinite(g.hops).argmax(axis=1)  # each component's smallest
     comps: dict = {}
-    for node, label in enumerate(labels.tolist()):
+    for node, label in enumerate(first.tolist()):
         comps.setdefault(label, []).append(node)
     return list(comps.values())

@@ -386,6 +386,24 @@ def test_evaluate_with_nothing_scored_exits_1(tmp_path, capsys):
     assert (out / "best.csv").read_text("utf-8") == "Meas.,α,r,ARD,RG-1\n"
 
 
+def test_evaluate_skips_a_cluster_whose_reference_has_no_words(
+        toy_path, tmp_path, capsys):
+    root = tmp_path / "corpus"
+    shutil.copytree(toy_path, root)
+    (root / "c01" / "refs" / "r3.txt").write_text("... !!! ...\n",
+                                                  encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["evaluate", "--corpus", str(root), "--out", str(out),
+                 "--measure", "dg", "--alpha", "1.0", "--r", "0.2",
+                 "--ard", "none"]) == 0
+    assert "1 cells skipped: InvalidReference×1" in capsys.readouterr().out
+    report = (out / "report.csv").read_text("utf-8").splitlines()
+    assert report[0] == "measure,alpha,r,ard,rouge1_mean,c01,c02"
+    measure, alpha, r, ard, mean, c01, c02 = report[1].split(",")
+    assert c01 == "skip:InvalidReference"
+    assert mean == c02 and 0 < float(c02) <= 1
+
+
 def test_evaluate_of_weighted_measures_removes_no_edge(toy_path, tmp_path,
                                                        monkeypatch):
     calls = []

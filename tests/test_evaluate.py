@@ -1,12 +1,11 @@
 import math
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
-from netsumm import centrality, evaluate, preprocess, summarize
+from netsumm import centrality, evaluate, graph, preprocess, summarize
 from netsumm.centrality import (ALL_MEASURES, HIGHEST, CentralityResult,
                                 WalkParams)
 from netsumm.corpus import SummaryBudget
@@ -53,44 +52,29 @@ def test_rouge1_recall_reference_errors():
         rouge1_recall("a", ["..."])
 
 
-def test_rouge1_recall_takes_counted_references():
-    refs = ["The cat sat.", "a cat ran fast"]
-    counted = [Counter(rouge_tokens(ref)) for ref in refs]
-    for aggregate in ("mean", "max"):
-        want = rouge1_recall("the cat ran", refs, aggregate)
-        assert rouge1_recall("the cat ran", counted, aggregate) == want
-        assert rouge1_recall(("the", "cat", "ran"), counted, aggregate) \
-            == want
-    with pytest.raises(InvalidReference):
-        rouge1_recall("a", [Counter()])
-
-
 def test_run_sweep_scores_each_distinct_summary_once(toy_corpus,
                                                      monkeypatch):
     summaries, scored = [], []
-    rouge1, select = evaluate.rouge1_recall, summarize.select
+    recall, select = evaluate.RougeReferences.recall, summarize.select
 
     def recorded_select(*args, **kwargs):
         summaries.append(select(*args, **kwargs))
         return summaries[-1]
 
-    def counted(candidate, references, aggregate="mean"):
-        # the candidate is the latest summary's tokens, less those no
-        # reference holds
-        vocabulary = set().union(*references)
-        assert candidate == tuple(tok for tok in rouge_tokens(
-            summaries[-1].text) if tok in vocabulary)
-        scored.append((summaries[-1].selected, candidate))
-        return rouge1(candidate, references, aggregate)
+    def counted(references, counts, aggregate):
+        # the counts are the latest summary's
+        assert np.array_equal(counts, references.counts(
+            rouge_tokens(summaries[-1].text)))
+        scored.append(summaries[-1].selected)
+        return recall(references, counts, aggregate)
 
     monkeypatch.setattr(summarize, "select", recorded_select)
-    monkeypatch.setattr(evaluate, "rouge1_recall", counted)
+    monkeypatch.setattr(evaluate.RougeReferences, "recall", counted)
     grid = SweepGrid(alphas=(0.5, 1.0), rs=(0.2, 0.3),
                      measures=("dg", "stg", "pr"), ards=("none", "AR1"))
     report = run_sweep(toy_corpus[:1], grid)
-    selections = [selected for selected, _ in scored]
-    assert selections
-    assert len(selections) == len(set(selections)) \
+    assert scored
+    assert len(scored) == len(set(scored)) \
         == len({summ.selected for summ in summaries}) < len(report.rows)
 
 
@@ -409,3 +393,21 @@ def test_grid_rankings_yields_each_graph_once(toy_corpus):
     # a failing measure yields its error; the others still rank
     assert isinstance(groups[1][3]["access"], InvalidParameter)
     assert isinstance(groups[1][3]["dg"], CentralityResult)
+
+
+def test_grid_rankings_computes_hops_once_per_graph(toy_corpus, monkeypatch):
+    hop_matrix, counted = graph._hop_matrix, []
+
+    def counting(adjacency):
+        counted.append(adjacency.shape)
+        return hop_matrix(adjacency)
+
+    monkeypatch.setattr(graph, "_hop_matrix", counting)
+    prepared = prepare_cluster(toy_corpus[0])
+    grid = SweepGrid(alphas=(0.5, 1.9), rs=(0.1, 0.3),
+                     measures=("sp", "absT", "sym", "sp_w"), ards=("none",))
+    for *_, results in grid_rankings(prepared, grid, WalkParams()):
+        assert all(isinstance(res, CentralityResult)
+                   for res in results.values())
+    # sym's on the base graph, then sp and absT share each thresholded one
+    assert len(counted) == 1 + 2 * 2

@@ -154,6 +154,18 @@ def test_remove_weakest_tie_break_is_deterministic():
     assert {(e.u, e.v) for e in out.edges} == {(1, 2), (2, 3)}
 
 
+def test_remove_weakest_cuts_many_ties_in_pair_order():
+    # three weight values over ~50 edges: long runs of ties at every cut
+    rng = np.random.default_rng(37)
+    triples = [(i, j, float(rng.choice([0.25, 0.5, 0.75])))
+               for i, j, _ in util.random_edge_triples(rng, 14, p=0.55)]
+    g = from_edges(14, [k % 2 for k in range(14)], triples)
+    assert len(triples) > 40
+    for r in (0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9):
+        keep = oracles.sort_and_cut([((i, j), w) for i, j, w in triples], r)
+        assert {(e.u, e.v) for e in remove_weakest(g, r).edges} == keep
+
+
 def test_remove_weakest_r_zero_flags_unweighted():
     g = from_edges(2, [0, 1], [(0, 1, 0.9)])
     out = remove_weakest(g, 0.0)
@@ -182,3 +194,61 @@ def test_components_match_oracle():
         pairs = [(e.u, e.v) for e in g.edges]
         assert connected_components(g) == \
             oracles.components(g.n_nodes, pairs)
+
+
+def _blocks_graph(rng):
+    """Two isolated nodes and three sparse connected blocks of 2-11 nodes,
+    the nodes shuffled so that components interleave in node order."""
+    sizes = [1, 1] + [int(k) for k in rng.integers(2, 12, size=3)]
+    nodes = rng.permutation(sum(sizes)).tolist()
+    triples, start = [], 0
+    for size in sizes:
+        block = nodes[start:start + size]
+        start += size
+        pairs = {(k - 1, k) for k in range(1, size)}  # keeps the block whole
+        pairs |= {(i, j) for i, j, _ in
+                  util.random_edge_triples(rng, size, p=0.15)}
+        triples += [(block[i], block[j], float(rng.uniform(0.05, 1.0)))
+                    for i, j in sorted(pairs)]
+    layers = [int(x) for x in rng.integers(0, 2, len(nodes))]
+    return from_edges(len(nodes), layers, triples)
+
+
+def test_hops_match_floyd_warshall_and_components():
+    rng = np.random.default_rng(29)
+    graphs = [util.random_graph(rng, n_max=12) for _ in range(30)]
+    for _ in range(20):   # sparse, so hop counts run well past 2
+        n = int(rng.integers(10, 31))
+        graphs.append(from_edges(n, [0] * n, util.random_edge_triples(
+            rng, n, p=float(rng.uniform(0.03, 0.2)))))
+    graphs += [_blocks_graph(rng) for _ in range(20)]
+    n = 48
+    graphs.append(from_edges(n, [0] * n, [(k, k + 1, 1.0)
+                                          for k in range(n - 1)]))
+    for g in graphs:
+        pairs = [(e.u, e.v) for e in g.edges]
+        assert np.array_equal(g.hops, oracles.floyd_warshall(
+            g.n_nodes, pairs, weighted=False))
+        assert connected_components(g) == \
+            oracles.components(g.n_nodes, pairs)
+    assert any(len(connected_components(g)) > 2 for g in graphs)
+
+
+def test_hops_of_a_300_node_path():
+    n = 300
+    order = np.random.default_rng(31).permutation(n).tolist()
+    g = from_edges(n, [k % 2 for k in range(n)],
+                   [(order[k], order[k + 1], 1.0) for k in range(n - 1)])
+    along = np.argsort(order)   # each node's place along the path
+    assert np.array_equal(g.hops, np.abs(along[:, None] - along[None, :]))
+    assert g.hops.max() == n - 1
+
+
+def test_hops_is_computed_once_and_read_only():
+    g = from_edges(3, [0, 1, 1], [(0, 1, 0.5)])
+    assert g.hops is g.hops
+    assert g.hops.tolist() == [[0, 1, math.inf], [1, 0, math.inf],
+                               [math.inf, math.inf, 0]]
+    with pytest.raises(ValueError):
+        g.hops[0, 1] = 2.0
+    assert remove_weakest(g, 0.0).hops is not g.hops

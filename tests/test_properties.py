@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,8 @@ import oracles
 from netsumm.centrality import StochasticMatrix, saw_probabilities
 from netsumm.corpus import SummaryBudget
 from netsumm.errors import EmptySummary
-from netsumm.evaluate import rouge1_recall, rouge_tokens
+from netsumm.evaluate import (AGGREGATES, RougeReferences,
+                              rouge1_recall, rouge_tokens)
 from netsumm.graph import INTER, INTRA, apply_alpha, from_edges, remove_weakest
 from netsumm.preprocess import (SentenceRecord, fold, load_resources,
                                 normalize, segment, stem)
@@ -156,6 +158,40 @@ def test_rouge_bounds_and_monotonicity(cand, ref):
     grown = rouge1_recall(" ".join(cand + ref), [ref_text])
     assert grown >= score
     assert rouge1_recall(ref_text, [ref_text]) == 1.0
+
+
+def _clipped_recall(candidate: str, references: list, aggregate: str):
+    """ROUGE-1 recall by Counters, one reference at a time."""
+    cand = Counter(rouge_tokens(candidate))
+    scores = []
+    for ref in references:
+        counts = Counter(rouge_tokens(ref))
+        hits = sum(min(k, counts[tok]) for tok, k in cand.items())
+        scores.append(hits / sum(counts.values()))
+    return max(scores) if aggregate == "max" else sum(scores) / len(scores)
+
+
+# few distinct words, so tokens repeat and clip; "Z" and "y" are in no
+# reference
+sentence_texts = st.lists(st.sampled_from(["a", "b", "c", "Z", "y", "a,"]),
+                          max_size=8).map(" ".join)
+reference_texts = st.lists(st.sampled_from("abcdx"), min_size=1,
+                           max_size=12).map(" ".join)
+
+
+@given(st.lists(sentence_texts, min_size=1, max_size=8),
+       st.lists(reference_texts, min_size=1, max_size=4), st.data())
+def test_rouge_count_rows_score_as_rouge1_recall(sentences, references,
+                                                 data):
+    refs = RougeReferences(references)
+    rows = np.array([refs.counts(rouge_tokens(s)) for s in sentences])
+    selected = data.draw(st.lists(st.integers(0, len(sentences) - 1),
+                                  unique=True))
+    text = " ".join(sentences[k] for k in selected)
+    for aggregate in AGGREGATES:
+        score = refs.recall(rows[selected].sum(axis=0), aggregate)
+        assert score == rouge1_recall(text, references, aggregate) \
+            == _clipped_recall(text, references, aggregate)
 
 
 sentence_records = st.lists(
