@@ -30,9 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path as _sp_shortest_path
 
 from .errors import ConvergenceError, InvalidParameter, SingularMatrix
 from .graph import MultilayerGraph, connected_components
@@ -157,19 +154,25 @@ def strength(g: MultilayerGraph) -> CentralityResult:
 def avg_shortest_path(g: MultilayerGraph, weighted: bool) -> CentralityResult:
     """Mean distance to every other node; lowest is most central.
 
-    Hop counts (g.hops) when unweighted; edge length 1/w, by Dijkstra, when
-    weighted. A graph flagged unweighted keeps every length at 1 even if
-    the edges still carry weights. Unreachable pairs contribute D_max + 1,
-    the largest finite distance plus one.
+    Hop counts (g.hops) when unweighted; edge length 1/w, by Floyd-Warshall
+    (Floyd, CACM 1962), when weighted: n updates d = min(d, d[:, k] + d[k]),
+    in place, as d[k, k] = 0 keeps row and column k fixed during their own
+    update. A graph flagged unweighted keeps every length at 1 even if the
+    edges still carry weights. Unreachable pairs contribute D_max + 1, the
+    largest finite distance plus one.
     """
     n = g.n_nodes
     measure = "sp_w" if weighted else "sp"
     if n < 2:
         return CentralityResult(measure, {i: 0.0 for i in range(n)}, LOWEST)
     if weighted and g.weighted:
-        lengths = np.divide(1.0, g.W, out=np.zeros_like(g.W), where=g.W > 0)
-        dist = _sp_shortest_path(csr_matrix(lengths), method="D",
-                                 directed=False)
+        dist = np.divide(1.0, g.W, out=np.full_like(g.W, math.inf),
+                         where=g.W > 0)
+        np.fill_diagonal(dist, 0.0)
+        via = np.empty_like(dist)
+        for k in range(n):
+            np.add(dist[:, k, None], dist[k], out=via)
+            np.minimum(dist, via, out=dist)
     else:
         dist = g.hops
     off = dist[~np.eye(n, dtype=bool)]
@@ -307,7 +310,11 @@ def accessibility(g: MultilayerGraph, h: int) -> CentralityResult:
 # all-lengths (generalized) accessibility
 
 def all_lengths_matrix(p: StochasticMatrix) -> StochasticMatrix:
-    """(1/e) * sum_j P^j / j! = exp(P) / e, by scipy.linalg.expm."""
+    """(1/e) * sum_j P^j / j! = exp(P) / e, by scipy.linalg.expm.
+
+    scipy is imported here, not at module level, so that only gAccess pays
+    for loading it."""
+    from scipy.linalg import expm
     return StochasticMatrix(expm(p.p) / math.e)
 
 

@@ -164,24 +164,36 @@ def _load(merged: dict) -> list:
 
 
 def _out_dir(merged: dict) -> Path:
+    """The --out path, not yet created; exits 1 when there is none."""
     out = merged.get("out")
     if not out:
         print("error: --out directory is required", file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    return Path(out)
+
+
+def _make_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise NetsummError(
+            f"cannot create output directory {path}: {exc.strerror}") from None
     return path
 
 
 def cmd_summarize(merged: dict) -> int:
     """Write each cluster's summaries; a failing cluster, ranking or
-    summary is reported on stderr, the run goes on and exits 1."""
+    summary is reported on stderr, the run goes on and exits 1. --out is
+    created on the first write, so a run that writes nothing leaves none."""
     clusters = _load(merged)
     grid = _grid_from({**{"alpha": "1.0", "r": "0.2",
                           "measure": "dg", "ard": "none"}, **merged})
     params = _walk_params(merged)
     out = _out_dir(merged)
     failed = False
+
+    def target(name: str) -> Path:
+        return _make_dir(out) / name
 
     def fail(where: str, exc: NetsummError) -> None:
         nonlocal failed
@@ -195,13 +207,13 @@ def cmd_summarize(merged: dict) -> int:
             fail(cluster.id, exc)
             continue
         if merged.get("dump-sim"):
-            _write_sim(out / f"{cluster.id}__sim.csv", prepared)
+            _write_sim(target(f"{cluster.id}__sim.csv"), prepared)
         for alpha, r, g, results in evaluate.grid_rankings(prepared, grid,
                                                            params):
-            if merged.get("dump-graph"):
+            if merged.get("dump-graph") and g is not None:
                 suffix = "" if r is None else f"__r{r:g}"
                 _write_edges(
-                    out / f"{cluster.id}__a{alpha:g}{suffix}__edges.csv", g)
+                    target(f"{cluster.id}__a{alpha:g}{suffix}__edges.csv"), g)
             for measure, ranking in results.items():
                 stem = (f"{cluster.id}__{measure}__a{alpha:g}"
                         f"__r{evaluate.fmt_r(r)}")
@@ -209,7 +221,7 @@ def cmd_summarize(merged: dict) -> int:
                     fail(stem, ranking)
                     continue
                 if merged.get("dump-scores"):
-                    _write_scores(out / f"{stem}__scores.csv", ranking)
+                    _write_scores(target(f"{stem}__scores.csv"), ranking)
                 for ard in grid.ards:
                     try:
                         summ = summarize.select(
@@ -219,7 +231,7 @@ def cmd_summarize(merged: dict) -> int:
                     except NetsummError as exc:
                         fail(f"{stem}__{ard}", exc)
                         continue
-                    path = out / f"{stem}__{ard}.txt"
+                    path = target(f"{stem}__{ard}.txt")
                     evaluate.write_lines(path, [summ.text])
                     print(f"wrote {path} "
                           f"({summ.budget_used} {cluster.budget.kind})")
@@ -239,7 +251,7 @@ def cmd_evaluate(merged: dict) -> int:
     jobs = _number("jobs", merged["jobs"], int) if "jobs" in merged \
         else os.cpu_count() or 1
     evaluate.check_sweep_options(aggregate, jobs)
-    out = _out_dir(merged)
+    out = _make_dir(_out_dir(merged))
     report = evaluate.run_sweep(clusters, grid, params, aggregate, jobs)
     evaluate.write_report_csv(report, out / "report.csv")
     evaluate.write_best_csv(report, out / "best.csv")

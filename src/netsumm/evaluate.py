@@ -257,9 +257,11 @@ def grid_rankings(prepared: PreparedCluster, grid: SweepGrid,
     Per alpha, yields (alpha, None, g_alpha, {weighted measure: result});
     then, if the grid has an unweighted measure, (alpha, r, g_r,
     {unweighted measure: result}) for each r. A result is the measure's
-    CentralityResult or the NetsummError it raised. sym reads edge
-    presence only, which alpha leaves as it is, so it is computed once,
-    from the base graph.
+    CentralityResult or the NetsummError it raised. An alpha that
+    apply_alpha refuses on this cluster yields its error as every result
+    of that alpha, with None for the graph. sym reads edge presence only,
+    which alpha leaves as it is, so it is computed once, from the base
+    graph.
     """
     def rank(measure, g):
         try:
@@ -275,7 +277,13 @@ def grid_rankings(prepared: PreparedCluster, grid: SweepGrid,
         alpha_free = {"sym": sym, "sym_low": sym if isinstance(
             sym, NetsummError) else centrality.sym_low_from(sym)}
     for alpha in grid.alphas:
-        g_alpha = graph.apply_alpha(prepared.base, alpha)
+        try:
+            g_alpha = graph.apply_alpha(prepared.base, alpha)
+        except NetsummError as exc:
+            yield alpha, None, None, dict.fromkeys(weighted, exc)
+            for r in grid.rs if unweighted else ():
+                yield alpha, r, None, dict.fromkeys(unweighted, exc)
+            continue
         yield alpha, None, g_alpha, {
             m: alpha_free[m] if m in alpha_free else rank(m, g_alpha)
             for m in weighted}

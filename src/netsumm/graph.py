@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import EmptyGraph, InvalidInput, InvalidParameter
 from .tfidf import cosine
@@ -67,40 +67,45 @@ class MultilayerGraph:
 def cosine_matrix(vectors: list) -> np.ndarray:
     """Pairwise tfidf.cosine of vectors, zero diagonal, bit for bit.
 
-    The dot products come from one sparse product X @ X.T, X the sentence
-    by term weight matrix. Each term product is rounded as cosine's fsum
-    rounds it, so a pair sharing one term gets that product exactly, and a
-    pair sharing two gets one IEEE add, correctly rounded in either order.
-    The same product over X's 0/1 pattern counts the shared terms; the few
-    pairs sharing three or more go through cosine itself.
+    The dot products come from the per-term postings: each term pairs every
+    two sentences that hold it, and np.bincount sums each pair's term
+    products from 0.0 in posting order. Each product is rounded as cosine's
+    fsum rounds it, so a pair sharing one term gets that product exactly,
+    and a pair sharing two gets one IEEE add, correctly rounded in either
+    order. The few pairs sharing three or more go through cosine itself.
     """
     n = len(vectors)
-    indptr = np.cumsum([0] + [len(v.weights) for v in vectors])
-    terms = np.fromiter((t for v in vectors for t in v.weights), np.int64,
-                        indptr[-1])
-    weights = np.fromiter((w for v in vectors for w in v.weights.values()),
-                          np.float64, indptr[-1])
+    maps = [v.weights for v in vectors]
+    sizes = list(map(len, maps))
+    total = sum(sizes)
+    terms = np.fromiter(chain.from_iterable(maps), np.int64, total)
+    weights = np.fromiter(chain.from_iterable(map(dict.values, maps)),
+                          np.float64, total)
     if (weights <= 0).any():
         raise InvalidInput("tf-idf weights must be positive")
-    shape = (n, int(terms.max(initial=-1)) + 1)
-    x = csr_matrix((weights, terms, indptr), shape=shape)
-    pattern = csr_matrix((np.ones(len(terms), np.int32), terms, indptr),
-                         shape=shape)
-    # Both products visit the same cells in the same order and no positive
-    # sum is dropped as zero, so their entries line up one to one.
-    shared = pattern @ pattern.T
-    us = np.repeat(np.arange(n, dtype=np.int32), np.diff(shared.indptr))
-    upper = shared.indices > us
-    us, vs, shared = us[upper], shared.indices[upper], shared.data[upper]
-    norms = np.array([v.norm for v in vectors])
-    sims = (x @ x.T).data[upper]
-    sims /= norms[us] * norms[vs]
-    np.minimum(sims, 1.0, out=sims)
-    for k in np.flatnonzero(shared >= 3).tolist():
-        sims[k] = cosine(vectors[us[k]], vectors[vs[k]])
-    w = np.zeros((n, n))
-    w[us, vs] = w[vs, us] = sims
-    return w
+    # postings: entries grouped by term, sentences ascending within a term
+    order = np.argsort(terms, kind="stable")
+    terms, weights = terms[order], weights[order]
+    sentence = np.repeat(np.arange(n), sizes)[order]
+    starts = np.flatnonzero(np.diff(terms, prepend=-1))
+    ends = np.append(starts[1:], total)
+    # each entry pairs with the entries after it in its posting
+    later = np.repeat(ends, ends - starts) - np.arange(total) - 1
+    first = np.repeat(np.arange(total), later)
+    offset = np.arange(len(first)) - np.repeat(np.cumsum(later) - later,
+                                               later)
+    second = first + 1 + offset
+    keys = sentence[first] * n + sentence[second]
+    # row u, column v > u: the pair's dot product and its shared term count
+    dots = np.bincount(keys, weights[first] * weights[second], n * n)
+    shared = np.bincount(keys, minlength=n * n).reshape(n, n)
+    # a zero vector holds no term, so its row of dots is 0 whatever its norm
+    norms = np.array([v.norm or 1.0 for v in vectors])
+    w = dots.reshape(n, n) / np.outer(norms, norms)
+    np.minimum(w, 1.0, out=w)
+    for u, v in np.argwhere(shared >= 3).tolist():
+        w[u, v] = cosine(vectors[u], vectors[v])
+    return w + w.T
 
 
 def build(vectors: list, layers) -> MultilayerGraph:
@@ -138,11 +143,15 @@ def from_edges(n_nodes: int, layer_of, edge_tuples, weighted=True
 
 def apply_alpha(g: MultilayerGraph, alpha: float) -> MultilayerGraph:
     """Scale inter-layer weights by alpha; intra weights pass through
-    as-is."""
+    as-is. An alpha so small that a scaled weight underflows to 0, which
+    would drop its edge, is refused."""
     if not (math.isfinite(alpha) and alpha > 0):
         raise InvalidParameter(f"alpha must be finite and > 0, got {alpha}")
     inter = g.layers[:, None] != g.layers[None, :]
     w = np.where(inter, g.W * alpha, g.W)
+    if np.count_nonzero(w) != np.count_nonzero(g.W):
+        raise InvalidParameter(
+            f"alpha {alpha} scales an inter-layer weight to 0")
     return MultilayerGraph(w, g.layers, g.weighted)
 
 
@@ -196,9 +205,22 @@ def _hop_matrix(adjacency: np.ndarray) -> np.ndarray:
 
 
 def connected_components(g: MultilayerGraph) -> list:
-    """Components as sorted node lists, ordered by smallest member."""
-    first = np.isfinite(g.hops).argmax(axis=1)  # each component's smallest
-    comps: dict = {}
-    for node, label in enumerate(first.tolist()):
-        comps.setdefault(label, []).append(node)
-    return list(comps.values())
+    """Components as sorted node lists, ordered by smallest member.
+
+    A breadth-first search from the smallest node not yet reached, one
+    frontier at a time; every node is in one frontier only, so each row of
+    the adjacency is read once and the labelling is O(n^2) on any graph."""
+    adjacency = g.W > 0
+    unseen = np.ones(g.n_nodes, dtype=bool)
+    comps = []
+    while unseen.any():
+        frontier = [int(unseen.argmax())]
+        reached = np.zeros(g.n_nodes, dtype=bool)
+        reached[frontier] = True
+        while len(frontier):
+            unseen[frontier] = False
+            step = adjacency[frontier].any(axis=0) & unseen
+            frontier = np.flatnonzero(step)
+            reached |= step
+        comps.append(np.flatnonzero(reached).tolist())
+    return comps

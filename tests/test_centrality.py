@@ -101,6 +101,39 @@ def test_avg_shortest_path_weighted_uses_inverse_weight():
     assert res.scores[0] == pytest.approx(4.0)
 
 
+def _assert_sp_w_matches_oracle(g):
+    got = avg_shortest_path(g, weighted=True)
+    assert got.measure == "sp_w" and got.direction == LOWEST
+    want = oracles.avg_distance_with_penalty(oracles.floyd_warshall(
+        g.n_nodes, util.effective_triples(g), weighted=True))
+    for i in range(g.n_nodes):
+        assert got.scores[i] == pytest.approx(want[i], rel=1e-15)
+    return got.scores
+
+
+def test_sp_w_takes_a_two_hop_path_shorter_than_the_direct_edge():
+    # 0-2 directly has length 1/0.1 = 10; through 1 it is 2 + 2 = 4
+    g = from_edges(3, [0, 1, 0], [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.1)])
+    scores = _assert_sp_w_matches_oracle(g)
+    assert scores == {0: (2 + 4) / 2, 1: (2 + 2) / 2, 2: (4 + 2) / 2}
+
+
+def test_sp_w_penalizes_a_disconnected_pair_with_d_max_plus_one():
+    # components {0, 1} (length 2) and {2, 3} (length 4): D_max 4, penalty 5
+    g = from_edges(4, [0, 1, 0, 1], [(0, 1, 0.5), (2, 3, 0.25)])
+    scores = _assert_sp_w_matches_oracle(g)
+    assert scores == {0: (2 + 5 + 5) / 3, 1: (2 + 5 + 5) / 3,
+                      2: (5 + 5 + 4) / 3, 3: (5 + 5 + 4) / 3}
+
+
+def test_sp_w_isolated_node_pays_the_penalty_to_every_node():
+    # path 0-1-2 with lengths 2 and 4, so D_max is 6; node 3 is isolated
+    g = from_edges(4, [0, 1, 0, 1], [(0, 1, 0.5), (1, 2, 0.25)])
+    scores = _assert_sp_w_matches_oracle(g)
+    assert scores[3] == 7.0
+    assert scores[0] == (2 + 6 + 7) / 3
+
+
 def test_pagerank_matches_linear_solve():
     rng = np.random.default_rng(5)
     for _ in range(20):

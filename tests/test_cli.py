@@ -521,3 +521,87 @@ def test_cold_start_never_imports_scipy_stats(toy_path, tmp_path):
     rows = (out / "correlations.csv").read_text(encoding="utf-8").split("\n")
     assert any(cell and cell != "1.000000"
                for row in rows[1:] for cell in row.split(",")[1:])
+
+
+def _main_in_fresh_interpreter(argv: list) -> str:
+    """The exit code of netsumm.cli.main(argv) run in a new interpreter,
+    and whether any scipy module was then loaded, as "<code> <bool>"."""
+    script = (
+        "import sys\n"
+        "from netsumm.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n")
+    src = str(Path(netsumm.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]]
+                 if os.environ.get("PYTHONPATH") else []))}
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return done.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("summarize", ["--measure", "dg"]),
+    ("evaluate", ["--alpha", "1.0", "--r", "0.3", "--measure",
+                  "dg,stg,pr,sp_w", "--ard", "none", "--jobs", "1"])])
+def test_cold_start_without_gaccess_imports_no_scipy(toy_path, tmp_path,
+                                                     command, flags):
+    out = tmp_path / "out"
+    assert _main_in_fresh_interpreter(
+        [command, "--corpus", str(toy_path), "--out", str(out)] + flags) \
+        == "0 False"
+    assert any(out.iterdir())
+
+
+def test_gaccess_imports_scipy_when_it_runs(toy_path, tmp_path):
+    out = tmp_path / "out"
+    assert _main_in_fresh_interpreter(
+        ["summarize", "--corpus", str(toy_path), "--out", str(out),
+         "--measure", "gAccess"]) == "0 True"
+    assert (out / "c01__gAccess__a1__r0.2__none.txt").read_text("utf-8")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("summarize", ["--measure", "dg"]),
+    ("evaluate", EVAL_FLAGS + ["--jobs", "1"])])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_naming_a_file_exits_1_with_one_error_line(
+        toy_path, tmp_path, capsys, command, flags, below):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n", encoding="utf-8")
+    out = taken / "out" if below else taken
+    assert main([command, "--corpus", str(toy_path), "--out", str(out)]
+                + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {out}:")
+    assert err.count("\n") == 1
+    assert taken.read_text("utf-8") == "a file\n"
+
+
+def test_underflowing_alpha_exits_1_before_writing(toy_path, tmp_path,
+                                                   capsys):
+    out = tmp_path / "out"
+    assert main(["summarize", "--corpus", str(toy_path), "--out", str(out),
+                 "--alpha", "5e-324", "--measure", "dg,stg"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 * 2   # two clusters, two measures
+    assert all(line.startswith("error:") and line.endswith(
+        "alpha 5e-324 scales an inter-layer weight to 0") for line in lines)
+    assert not out.exists()
+
+
+def test_evaluate_skips_the_cells_of_an_underflowing_alpha(toy_path,
+                                                           tmp_path):
+    out = tmp_path / "out"
+    assert main(["evaluate", "--corpus", str(toy_path), "--out", str(out),
+                 "--alpha", "5e-324,1.0", "--measure", "dg,stg", "--r", "0.2",
+                 "--ard", "none", "--jobs", "1"]) == 0
+    rows = [row.split(",") for row in
+            (out / "report.csv").read_text("utf-8").splitlines()[1:]]
+    assert [row[:2] for row in rows] == [
+        ["dg", "4.94066e-324"], ["dg", "1"], ["stg", "4.94066e-324"],
+        ["stg", "1"]]
+    for row in rows:
+        skipped = row[1] != "1"
+        assert (row[5:] == ["skip:InvalidParameter"] * 2) == skipped

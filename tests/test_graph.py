@@ -6,6 +6,7 @@ import pytest
 import oracles
 import util
 from netsumm.errors import EmptyGraph, InvalidInput, InvalidParameter
+from netsumm.evaluate import prepare_cluster
 from netsumm.graph import (INTER, INTRA, apply_alpha, build,
                            connected_components, cosine_matrix, from_edges,
                            remove_weakest)
@@ -117,6 +118,15 @@ def test_apply_alpha_scales_only_inter():
             apply_alpha(g, bad)
 
 
+def test_apply_alpha_refuses_an_alpha_that_drops_an_edge(toy_corpus):
+    base = prepare_cluster(toy_corpus[0]).base
+    assert len(base.edges) == 23
+    # the scaled inter weights below 0.5 round to 0, leaving 3 edges
+    with pytest.raises(InvalidParameter, match="to 0"):
+        apply_alpha(base, 5e-324)
+    assert len(apply_alpha(base, 1e-320).edges) == 23
+
+
 def test_apply_alpha_identity_keeps_values():
     rng = np.random.default_rng(3)
     g = util.random_multilayer(rng)
@@ -194,6 +204,20 @@ def test_components_match_oracle():
         pairs = [(e.u, e.v) for e in g.edges]
         assert connected_components(g) == \
             oracles.components(g.n_nodes, pairs)
+
+
+def test_components_read_no_hop_matrix():
+    rng = np.random.default_rng(37)
+    n = 400   # one long path: a search walks hundreds of frontiers
+    order = rng.permutation(n).tolist()
+    path = from_edges(n, [k % 2 for k in range(n)],
+                      [(order[k], order[k + 1], 1.0) for k in range(n - 1)])
+    graphs = [path] + [_blocks_graph(rng) for _ in range(10)]
+    for g in graphs:
+        pairs = [(e.u, e.v) for e in g.edges]
+        assert connected_components(g) == \
+            oracles.components(g.n_nodes, pairs)
+        assert "hops" not in vars(g)   # the cached hop matrix was not built
 
 
 def _blocks_graph(rng):
