@@ -210,6 +210,21 @@ def test_accessibility_closed_form_matches_exact_enumeration():
             assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
+def test_accessibility_enumeration_matches_exact_enumeration():
+    # h >= 3 enumerates self-avoiding walks in floats
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        g = util.random_graph(rng)
+        adj = util.adjacency_dict(g)
+        for h in (3, 4):
+            got = accessibility(g, h).scores
+            want = {i: oracles.true_diversity(
+                oracles.saw_distribution_exact(adj, i, h))
+                for i in range(g.n_nodes)}
+            assert got.keys() == want.keys()
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_accessibility_refuses_unbounded_h():
     n = 30
     k30 = from_edges(n, [i % 2 for i in range(n)],
