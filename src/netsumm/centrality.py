@@ -60,23 +60,22 @@ class CentralityResult:
         return sorted(self.snapped, key=lambda v: (sign * self.snapped[v], v))
 
 
+# PageRank's power iteration stops when an iterate moves less than the
+# tolerance in L1 norm, and fails with ConvergenceError after the maximum.
+PAGERANK_TOLERANCE = 1e-10
+PAGERANK_MAX_ITERATIONS = 10000
+
+
 @dataclass(frozen=True)
 class WalkParams:
     h: int = 2
     pagerank_gamma: float = 0.85
-    pagerank_beta: float | None = None  # None -> (1 - gamma) / n
-    power_iter_tolerance: float = 1e-10
-    max_iterations: int = 10000
 
     def __post_init__(self):
         if self.h < 1:
             raise InvalidParameter(f"h must be >= 1, got {self.h}")
         if not 0 < self.pagerank_gamma < 1:
             raise InvalidParameter("pagerank_gamma must be in (0, 1)")
-        if self.pagerank_beta is not None and not 0 < self.pagerank_beta < 1:
-            raise InvalidParameter("pagerank_beta must be in (0, 1)")
-        if self.power_iter_tolerance <= 0:
-            raise InvalidParameter("power_iter_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -90,21 +89,19 @@ class StochasticMatrix:
             raise InvalidParameter("transition matrix must be square")
         if (self.p < 0).any():
             raise InvalidParameter("transition probabilities must be >= 0")
-        if not np.allclose(self.p.sum(axis=1), 1.0, rtol=0, atol=1e-9):
+        # decides as np.allclose(rtol=0, atol=1e-9), NaN included, faster
+        if not np.abs(self.p.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-9:
             raise InvalidParameter("rows must sum to 1 within 1e-9")
 
     @classmethod
     def from_graph(cls, g: MultilayerGraph) -> "StochasticMatrix":
-        """The walk on g's weights. Its rows are stochastic by construction,
-        so the checks of __post_init__ are skipped."""
+        """The walk on g's weights."""
         a = _weights(g)
         sums = a.sum(axis=1)
         p = np.full((g.n_nodes, g.n_nodes), 1.0 / g.n_nodes)
         nz = sums > 0
         p[nz] = a[nz] / sums[nz, None]
-        built = object.__new__(cls)
-        object.__setattr__(built, "p", p)
-        return built
+        return cls(p)
 
 
 def _weights(g: MultilayerGraph) -> np.ndarray:
@@ -118,20 +115,9 @@ def _neighbours(g: MultilayerGraph) -> list:
     return [set(np.flatnonzero(row).tolist()) for row in g.W]
 
 
-def _true_diversity(probabilities) -> float:
-    """exp(Shannon entropy) with the 0*log 0 = 0 convention."""
-    h = 0.0
-    empty = True
-    for p in probabilities:
-        if p > 0:
-            empty = False
-            h -= p * math.log(p)
-    return 0.0 if empty else math.exp(h)
-
-
 def _row_diversity(rows: np.ndarray) -> np.ndarray:
-    """_true_diversity of each row of a nonnegative matrix; 0 for a row
-    of zeros."""
+    """The true diversity, exp(Shannon entropy) with 0 log 0 = 0, of each
+    row of a nonnegative matrix; 0 for a row of zeros."""
     logs = np.log(rows, out=np.zeros_like(rows), where=rows > 0)
     diversity = np.exp(-(rows * logs).sum(axis=1))
     return np.where(rows.any(axis=1), diversity, 0.0)
@@ -159,28 +145,37 @@ def avg_shortest_path(g: MultilayerGraph, weighted: bool) -> CentralityResult:
     in place, as d[k, k] = 0 keeps row and column k fixed during their own
     update. A graph flagged unweighted keeps every length at 1 even if the
     edges still carry weights. Unreachable pairs contribute D_max + 1, the
-    largest finite distance plus one.
+    largest finite distance plus one. Raises InvalidParameter when a length
+    1/w, a path length or a node's sum of distances overflows.
     """
     n = g.n_nodes
     measure = "sp_w" if weighted else "sp"
     if n < 2:
         return CentralityResult(measure, {i: 0.0 for i in range(n)}, LOWEST)
-    if weighted and g.weighted:
-        dist = np.divide(1.0, g.W, out=np.full_like(g.W, math.inf),
-                         where=g.W > 0)
-        np.fill_diagonal(dist, 0.0)
-        via = np.empty_like(dist)
-        for k in range(n):
-            np.add(dist[:, k, None], dist[k], out=via)
-            np.minimum(dist, via, out=dist)
-    else:
-        dist = g.hops
-    off = dist[~np.eye(n, dtype=bool)]
-    finite = off[np.isfinite(off)]
-    penalty = (float(finite.max()) if finite.size else 0.0) + 1.0
-    filled = np.where(np.isfinite(dist), dist, penalty)
-    np.fill_diagonal(filled, 0.0)
-    scores = {i: float(filled[i].sum()) / (n - 1) for i in range(n)}
+    try:
+        # a finite length or sum that overflows to inf raises, where an
+        # unreachable pair's inf does not
+        with np.errstate(over="raise"):
+            if weighted and g.weighted:
+                dist = np.divide(1.0, g.W, out=np.full_like(g.W, math.inf),
+                                 where=g.W > 0)
+                np.fill_diagonal(dist, 0.0)
+                via = np.empty_like(dist)
+                for k in range(n):
+                    np.add(dist[:, k, None], dist[k], out=via)
+                    np.minimum(dist, via, out=dist)
+            else:
+                dist = g.hops
+            off = dist[~np.eye(n, dtype=bool)]
+            finite = off[np.isfinite(off)]
+            penalty = (float(finite.max()) if finite.size else 0.0) + 1.0
+            filled = np.where(np.isfinite(dist), dist, penalty)
+            np.fill_diagonal(filled, 0.0)
+            scores = {i: float(filled[i].sum()) / (n - 1) for i in range(n)}
+    except FloatingPointError:
+        raise InvalidParameter(
+            f"{measure}: a path length overflows the float range; the "
+            "edge weights are too small") from None
     return CentralityResult(measure, scores, LOWEST)
 
 
@@ -189,7 +184,7 @@ def avg_shortest_path(g: MultilayerGraph, weighted: bool) -> CentralityResult:
 
 def pagerank(g: MultilayerGraph, weighted: bool,
              params: WalkParams = WalkParams()) -> CentralityResult:
-    """Power iteration for pi = gamma * M * pi + beta * 1 with
+    """Power iteration for pi = gamma * M * pi + (1 - gamma) / n with
     M[i, j] = w_ij / s_j (weight 1 when unweighted)."""
     n = g.n_nodes
     a = _weights(g) if weighted else (g.W > 0) * 1.0
@@ -198,18 +193,17 @@ def pagerank(g: MultilayerGraph, weighted: bool,
     nz = col > 0
     m[:, nz] = a[:, nz] / col[nz]
     gamma = params.pagerank_gamma
-    beta = params.pagerank_beta if params.pagerank_beta is not None \
-        else (1.0 - gamma) / n
+    beta = (1.0 - gamma) / n
     pi = np.full(n, 1.0 / n)
-    for iteration in range(1, params.max_iterations + 1):
+    for _ in range(PAGERANK_MAX_ITERATIONS):
         nxt = gamma * (m @ pi) + beta
-        if np.abs(nxt - pi).sum() < params.power_iter_tolerance:
+        if np.abs(nxt - pi).sum() < PAGERANK_TOLERANCE:
             pi = nxt
             break
         pi = nxt
     else:
         raise ConvergenceError("PageRank power iteration did not converge",
-                               params.max_iterations)
+                               PAGERANK_MAX_ITERATIONS)
     measure = "pr_w" if weighted else "pr"
     return CentralityResult(measure, {i: float(pi[i]) for i in range(n)},
                             HIGHEST)
@@ -282,7 +276,7 @@ def accessibility(g: MultilayerGraph, h: int) -> CentralityResult:
     with degrees d: walk mass A[i, j] / d_i to a neighbour j, then
     A[j, k] / (d_j - 1) onwards, dropped where d_j = 1; zero the diagonal
     (the walk may not return to i) and renormalize each row. Larger h
-    enumerates walks with saw_probabilities.
+    enumerates the walks from each node as saw_probabilities does.
     """
     n = g.n_nodes
     if h >= n:
@@ -290,18 +284,21 @@ def accessibility(g: MultilayerGraph, h: int) -> CentralityResult:
     if h > 2:
         nbrs = _neighbours(g)
         _check_walk_count(nbrs, range(n), h)
-        return CentralityResult("access", {
-            i: _true_diversity(_saw_endpoints(nbrs, i, h).values())
-            for i in range(n)}, HIGHEST)
-    a = (g.W > 0) * 1.0
-    if h == 1:
-        mass = a
+        rows = np.zeros((n, n))
+        for i in range(n):
+            ends = _saw_endpoints(nbrs, i, h)
+            rows[i, list(ends)] = list(ends.values())
     else:
-        deg = a.sum(axis=1)
-        mass = a @ (a / np.maximum(deg - 1, 1)[:, None])
-        np.fill_diagonal(mass, 0.0)
-    totals = mass.sum(axis=1, keepdims=True)
-    rows = np.divide(mass, totals, out=np.zeros_like(mass), where=totals > 0)
+        a = (g.W > 0) * 1.0
+        if h == 1:
+            mass = a
+        else:
+            deg = a.sum(axis=1)
+            mass = a @ (a / np.maximum(deg - 1, 1)[:, None])
+            np.fill_diagonal(mass, 0.0)
+        totals = mass.sum(axis=1, keepdims=True)
+        rows = np.divide(mass, totals, out=np.zeros_like(mass),
+                         where=totals > 0)
     return CentralityResult("access", dict(enumerate(
         _row_diversity(rows).tolist())), HIGHEST)
 

@@ -206,6 +206,8 @@ def cmd_summarize(merged: dict) -> int:
         except NetsummError as exc:
             fail(cluster.id, exc)
             continue
+        # the kind the budget counts: a compression rate counts words
+        kind, _ = prepared.state.budget_limit(cluster.budget)
         if merged.get("dump-sim"):
             _write_sim(target(f"{cluster.id}__sim.csv"), prepared)
         for alpha, r, g, results in evaluate.grid_rankings(prepared, grid,
@@ -227,14 +229,13 @@ def cmd_summarize(merged: dict) -> int:
                         summ = summarize.select(
                             prepared.records, ranking, cluster.budget,
                             summarize.RedundancyConfig(method=ard),
-                            vectors=prepared.state, cluster_id=cluster.id)
+                            vectors=prepared.state)
                     except NetsummError as exc:
                         fail(f"{stem}__{ard}", exc)
                         continue
                     path = target(f"{stem}__{ard}.txt")
                     evaluate.write_lines(path, [summ.text])
-                    print(f"wrote {path} "
-                          f"({summ.budget_used} {cluster.budget.kind})")
+                    print(f"wrote {path} ({summ.budget_used} {kind})")
     return EXIT_ERROR if failed else EXIT_OK
 
 

@@ -29,7 +29,8 @@ class SummaryBudget:
     """Summary length limit: word count, character count, or compression rate.
 
     A compression rate c in (0, 1) keeps a (1 - c) share of the cluster's
-    words; counts are positive integers.
+    words; a word or character count is a finite integer >= 1, given as an
+    int or an integral float.
     """
 
     kind: str
@@ -42,9 +43,9 @@ class SummaryBudget:
             if not 0 < self.value < 1:
                 raise CorpusFormatError(
                     f"compression rate must be in (0,1), got {self.value}")
-        elif self.value < 1:
-            raise CorpusFormatError(
-                f"{self.kind} budget must be >= 1, got {self.value}")
+        elif not (self.value >= 1 and self.value % 1 == 0):  # nan, inf fail
+            raise CorpusFormatError(f"{self.kind} budget must be a finite "
+                                    f"integer >= 1, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,6 @@ def parse_budget(value: str) -> SummaryBudget:
     except ValueError:
         raise CorpusFormatError(f"budget value {amount!r} is not a number") \
             from None
-    if kind in ("words", "chars"):
-        if not num.is_integer():  # False for nan and inf
-            raise CorpusFormatError(f"{kind} budget must be a finite integer")
-        return SummaryBudget(kind, int(num))
     return SummaryBudget(kind, num)
 
 

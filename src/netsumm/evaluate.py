@@ -333,8 +333,7 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, params: WalkParams,
                     selected = summarize.select(
                         prepared.records, ranking, cluster.budget,
                         summarize.RedundancyConfig(method=ard),
-                        vectors=prepared.state, cluster_id=cluster.id
-                    ).selected
+                        vectors=prepared.state).selected
                 except NetsummError as exc:
                     cells[(measure, alpha, r, ard)] = (None, _skip(exc))
                     continue

@@ -35,7 +35,6 @@ AR_METHODS = ("none", "AR1", "AR2")
 
 @dataclass(frozen=True)
 class Summary:
-    cluster_id: str
     selected: tuple
     text: str
     budget_used: int
@@ -45,16 +44,20 @@ class Summary:
 class RedundancyConfig:
     method: str = "none"
     l2: float = 0.1
-    n: int = 4
-    gamma: tuple = (0.25, 0.25, 0.25, 0.25)
+    gamma: tuple = (0.25, 0.25, 0.25, 0.25)  # one weight per n-gram order
+
+    @property
+    def n(self) -> int:
+        """The highest n-gram order AR2 compares."""
+        return len(self.gamma)
 
     def __post_init__(self):
         if self.method not in AR_METHODS:
             raise InvalidParameter(f"unknown anti-redundancy {self.method!r}")
         if not 0 < self.l2 < 1:
             raise InvalidParameter(f"l2 must be in (0, 1), got {self.l2}")
-        if self.n < 1 or len(self.gamma) != self.n:
-            raise InvalidParameter("need one gamma weight per n-gram order")
+        if not self.gamma:
+            raise InvalidParameter("need at least one gamma weight")
         if any(gk < 0 for gk in self.gamma):
             raise InvalidParameter("gamma weights must be >= 0")
 
@@ -197,8 +200,7 @@ def resolve_budget(budget: SummaryBudget, sentences: list) -> tuple:
 
 def select(sentences: list, ranking: CentralityResult, budget: SummaryBudget,
            red: RedundancyConfig,
-           vectors: dict | SelectionState | None = None,
-           cluster_id: str = "") -> Summary:
+           vectors: dict | SelectionState | None = None) -> Summary:
     """Greedy selection in rank order under the budget.
 
     A candidate that overflows the budget is skipped, not terminal: later,
@@ -210,8 +212,6 @@ def select(sentences: list, ranking: CentralityResult, budget: SummaryBudget,
     or a SelectionState built for these sentences, which keeps what one
     call computes for the next.
     """
-    if budget.value <= 0:
-        raise InvalidParameter("budget must be positive")
     state = vectors if isinstance(vectors, SelectionState) \
         else SelectionState(sentences, vectors)
     if state.sentences is not sentences:
@@ -236,7 +236,6 @@ def select(sentences: list, ranking: CentralityResult, budget: SummaryBudget,
     if not chosen:
         raise EmptySummary(
             f"no sentence fits the {kind} budget of {limit}")
-    return Summary(cluster_id,
-                   tuple(rec.global_id for rec in chosen),
+    return Summary(tuple(rec.global_id for rec in chosen),
                    " ".join(rec.raw_text for rec in chosen),
                    used)

@@ -6,14 +6,15 @@ import pytest
 
 import oracles
 import util
+from netsumm import centrality
 from netsumm.centrality import (ALL_MEASURES, HIGHEST, LOWEST,
                                 UNWEIGHTED_MEASURES, WEIGHTED_MEASURES,
                                 CentralityResult, StochasticMatrix,
                                 WalkParams, absorption_time, accessibility,
                                 all_lengths_matrix, avg_shortest_path,
                                 compute, degree, generalized_accessibility,
-                                _row_diversity, _true_diversity, pagerank,
-                                saw_probabilities, strength, symmetry)
+                                _row_diversity, pagerank, saw_probabilities,
+                                strength, symmetry)
 from netsumm.errors import ConvergenceError, InvalidParameter
 from netsumm.evaluate import prepare_cluster
 from netsumm.graph import (MultilayerGraph, apply_alpha, build, from_edges,
@@ -51,8 +52,7 @@ def test_ranked_directions_and_ties():
 
 def test_walk_params_validation():
     WalkParams(h=3, pagerank_gamma=0.9)
-    for bad in (dict(h=0), dict(pagerank_gamma=1.0), dict(pagerank_beta=0.0),
-                dict(power_iter_tolerance=-1.0)):
+    for bad in (dict(h=0), dict(pagerank_gamma=1.0)):
         with pytest.raises(InvalidParameter):
             WalkParams(**bad)
 
@@ -134,6 +134,16 @@ def test_sp_w_isolated_node_pays_the_penalty_to_every_node():
     assert scores[0] == (2 + 6 + 7) / 3
 
 
+@pytest.mark.parametrize("w", [1e-308, 5e-309])
+def test_sp_w_refuses_lengths_that_overflow(w):
+    # 1/1e-308 is finite but the two-edge path overflows; 1/5e-309
+    # overflows by itself. pytest would fail on a RuntimeWarning.
+    g = from_edges(3, [0, 1, 0], [(0, 1, w), (1, 2, w)])
+    with pytest.raises(InvalidParameter, match="overflows"):
+        avg_shortest_path(g, weighted=True)
+    assert avg_shortest_path(g, weighted=False).scores[1] == 1.0
+
+
 def test_pagerank_matches_linear_solve():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -147,19 +157,11 @@ def test_pagerank_matches_linear_solve():
                 assert got.scores[i] == pytest.approx(want[i], abs=1e-8)
 
 
-def test_pagerank_beta_override():
-    got = pagerank(CYCLE4, False, WalkParams(pagerank_beta=0.05))
-    want = oracles.pagerank_linear_solve(
-        4, util.effective_triples(CYCLE4), False, 0.85, 0.05)
-    for i in range(4):
-        assert got.scores[i] == pytest.approx(want[i], abs=1e-8)
-
-
-def test_pagerank_convergence_error_carries_iterations():
+def test_pagerank_convergence_error_carries_iterations(monkeypatch):
     # a regular graph converges instantly; the path does not
+    monkeypatch.setattr(centrality, "PAGERANK_MAX_ITERATIONS", 2)
     with pytest.raises(ConvergenceError) as exc:
-        pagerank(PATH3, False,
-                 WalkParams(power_iter_tolerance=1e-10, max_iterations=2))
+        pagerank(PATH3, False)
     assert exc.value.iterations == 2
 
 
@@ -204,8 +206,7 @@ def test_accessibility_closed_form_matches_exact_enumeration():
             want = {}
             for i in range(g.n_nodes):
                 exact = oracles.saw_distribution_exact(adj, i, h)
-                want[i] = _true_diversity(
-                    [float(exact[v]) for v in sorted(exact)])
+                want[i] = oracles.true_diversity(exact)
             assert got.keys() == want.keys()
             assert got == pytest.approx(want, rel=1e-14, abs=0)
 
@@ -406,7 +407,8 @@ def test_row_diversity_matches_true_diversity():
             rows[int(rng.integers(0, len(rows)))] = np.eye(len(rows))[0]
         got = _row_diversity(rows)
         for row, value in zip(rows, got.tolist()):
-            want = _true_diversity(row.tolist())
+            want = oracles.true_diversity(
+                {j: p for j, p in enumerate(row.tolist()) if p > 0})
             assert value == pytest.approx(want, rel=1e-12, abs=0)
     assert _row_diversity(np.zeros((2, 3))).tolist() == [0.0, 0.0]
     assert _row_diversity(np.array([[0.0, 1.0]])).tolist() == [1.0]

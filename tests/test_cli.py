@@ -605,3 +605,45 @@ def test_evaluate_skips_the_cells_of_an_underflowing_alpha(toy_path,
     for row in rows:
         skipped = row[1] != "1"
         assert (row[5:] == ["skip:InvalidParameter"] * 2) == skipped
+
+
+def test_summarize_reports_the_kind_a_compression_budget_counts(
+        toy_path, tmp_path, capsys):
+    root = tmp_path / "corpus"
+    shutil.copytree(toy_path, root)
+    (root / "c01" / "manifest").write_text("budget = compression:0.7\n",
+                                           encoding="utf-8")
+    assert main(["summarize", "--corpus", str(root), "--out",
+                 str(tmp_path / "out"), "--measure", "dg"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("wrote ") and lines[0].endswith(" words)")
+    assert lines[1].endswith(" chars)")   # c02 keeps its chars budget
+
+
+@pytest.mark.parametrize("alpha", ["1e-306", "1e-308"])
+def test_summarize_reports_overflowing_sp_w_lengths(toy_path, tmp_path,
+                                                    capsys, alpha):
+    # 1e-306 overflows a sum of lengths, 1e-308 the length 1/w itself;
+    # pytest would fail on numpy's RuntimeWarning
+    out = tmp_path / "out"
+    assert main(["summarize", "--corpus", str(toy_path), "--out", str(out),
+                 "--alpha", alpha, "--measure", "sp_w",
+                 "--dump-scores"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2   # one per cluster
+    assert all(line.startswith("error:") and "overflows" in line
+               for line in lines)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["1e-306", "1e-308"])
+def test_evaluate_skips_overflowing_sp_w_cells(toy_path, tmp_path, alpha):
+    out = tmp_path / "out"
+    assert main(["evaluate", "--corpus", str(toy_path), "--out", str(out),
+                 "--alpha", alpha, "--measure", "sp_w,stg", "--ard", "none",
+                 "--jobs", "1"]) == 0
+    rows = [row.split(",") for row in
+            (out / "report.csv").read_text("utf-8").splitlines()[1:]]
+    assert [row[0] for row in rows] == ["sp_w", "stg"]
+    assert rows[0][5:] == ["skip:InvalidParameter"] * 2
+    assert "skip" not in ",".join(rows[1])

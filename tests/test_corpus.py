@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from netsumm.corpus import (Cluster, SummaryBudget, load_cluster, load_corpus,
@@ -42,6 +44,15 @@ def test_parse_budget_kinds():
 def test_parse_budget_rejects(bad):
     with pytest.raises(CorpusFormatError):
         parse_budget(bad)
+
+
+@pytest.mark.parametrize("kind", ["words", "chars"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2.5, 0, -1])
+def test_summary_budget_refuses_a_count_select_cannot_use(kind, value):
+    # refused where the budget is made, so neither select nor run_sweep
+    # ever sees it
+    with pytest.raises(CorpusFormatError, match="finite integer"):
+        SummaryBudget(kind, value)
 
 
 def test_load_cluster_toy(toy_path):

@@ -28,9 +28,9 @@ def test_ar1_threshold():
 
 
 def test_redundancy_config_validation():
-    RedundancyConfig("AR2", l2=0.3, n=2, gamma=(0.5, 0.5))
+    assert RedundancyConfig("AR2", l2=0.3, gamma=(0.5, 0.5)).n == 2
     for bad in (dict(method="AR3"), dict(l2=0.0), dict(l2=1.0),
-                dict(n=2), dict(gamma=(0.5, -0.1, 0.2, 0.4))):
+                dict(gamma=()), dict(gamma=(0.5, -0.1, 0.2, 0.4))):
         with pytest.raises(InvalidParameter):
             RedundancyConfig(**bad)
 
@@ -271,7 +271,7 @@ def _greedy_by_any(sentences, ranking, budget, red, cosines):
         used += cost
     if not chosen:
         raise EmptySummary(f"no sentence fits the {kind} budget of {limit}")
-    return Summary("c", tuple(r.global_id for r in chosen),
+    return Summary(tuple(r.global_id for r in chosen),
                    " ".join(r.raw_text for r in chosen), used)
 
 
@@ -332,6 +332,6 @@ def test_select_matches_the_greedy_rule(case):
         ranking = CentralityResult(
             "dg", dict(zip((r.global_id for r in records), scores)),
             direction)
-        assert _outcome(select, records, ranking, budget, red, state, "c") \
+        assert _outcome(select, records, ranking, budget, red, state) \
             == _outcome(_greedy_by_any, records, ranking, budget, red,
                         cosines)
