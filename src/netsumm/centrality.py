@@ -306,13 +306,63 @@ def accessibility(g: MultilayerGraph, h: int) -> CentralityResult:
 # ---------------------------------------------------------------------------
 # all-lengths (generalized) accessibility
 
-def all_lengths_matrix(p: StochasticMatrix) -> StochasticMatrix:
-    """(1/e) * sum_j P^j / j! = exp(P) / e, by scipy.linalg.expm.
+# The degree-13 Pade coefficients b_0..b_13 and theta_13, the largest 1-norm
+# at which that approximant is exact to double precision (Higham, "The
+# scaling and squaring method for the matrix exponential revisited", SIAM J.
+# Matrix Anal. Appl. 26(4), 2005, Table 2.3 and Algorithm 2.3).
+_PADE_13 = np.array([
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0])
+_THETA_13 = 5.371920351148152
 
-    scipy is imported here, not at module level, so that only gAccess pays
-    for loading it."""
-    from scipy.linalg import expm
-    return StochasticMatrix(expm(p.p) / math.e)
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring with the degree-13 Pade approximant
+    (Higham 2005, Algorithm 2.3).
+
+    The lower degrees of that algorithm never apply here: a row-stochastic
+    matrix has 1-norm >= 1, above theta_7 (about 0.95), and degree 9 saves
+    one product only up to 1-norm 2.1.
+    """
+    n = a.shape[0]
+    norm = np.abs(a).sum(axis=0).max(initial=0.0)
+    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
+    a = a / 2.0 ** s
+    b = _PADE_13
+    powers = np.empty((3, n, n))  # A^2, A^4, A^6 of the scaled A
+    np.matmul(a, a, out=powers[0])
+    np.matmul(powers[0], powers[0], out=powers[1])
+    np.matmul(powers[1], powers[0], out=powers[2])
+    flat = powers.reshape(3, n * n)
+    work, u, v = np.empty((3, n, n))
+    diagonal = slice(None, None, n + 1)
+    # U = A [A^6 (b13 A^6 + b11 A^4 + b9 A^2) + b7 A^6 + b5 A^4 + b3 A^2 + b1 I]
+    np.matmul(b[9:14:2], flat, out=work.reshape(-1))
+    np.matmul(powers[2], work, out=v)
+    np.matmul(b[3:8:2], flat, out=work.reshape(-1))
+    v += work
+    v.reshape(-1)[diagonal] += b[1]
+    np.matmul(a, v, out=u)
+    # V = A^6 (b12 A^6 + b10 A^4 + b8 A^2) + b6 A^6 + b4 A^4 + b2 A^2 + b0 I
+    np.matmul(b[8:13:2], flat, out=work.reshape(-1))
+    np.matmul(powers[2], work, out=v)
+    np.matmul(b[2:7:2], flat, out=work.reshape(-1))
+    v += work
+    v.reshape(-1)[diagonal] += b[0]
+    # R = (V - U)^-1 (V + U), squared s times
+    np.subtract(v, u, out=work)
+    v += u
+    r = np.linalg.solve(work, v)
+    for _ in range(s):
+        np.matmul(r, r, out=work)
+        r, work = work, r
+    return r
+
+
+def all_lengths_matrix(p: StochasticMatrix) -> StochasticMatrix:
+    """(1/e) * sum_j P^j / j! = exp(P) / e."""
+    return StochasticMatrix(_expm(p.p) / math.e)
 
 
 def generalized_accessibility(g: MultilayerGraph) -> CentralityResult:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -375,6 +374,8 @@ def run_sweep(clusters: list, grid: SweepGrid = SweepGrid(),
     check_sweep_options(aggregate, jobs)
     jobs = min(jobs, len(clusters))
     if jobs > 1:
+        # imported here: loading multiprocessing costs every run start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             evaluated = list(pool.map(
                 _evaluate_cluster, clusters,

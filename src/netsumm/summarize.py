@@ -101,12 +101,13 @@ class SelectionState:
     """Per-cluster inputs of select, each computed once.
 
     Holds, in sentence order: each sentence's word and character counts and
-    its (layer, position, id) tie keys; each resolved budget; the AR1
-    matrix, cosines > L1, built on first use; and per AR2 config the
-    sentences' n-gram sets and a matrix whose row k is filled when sentence
-    k is first chosen. Row k of a matrix marks the sentences that sentence
-    k blocks. Build one per cluster and pass it to select in place of the
-    vectors; it must not outlive the cluster.
+    its (layer, position, id) tie keys; the least cost of a sentence with
+    tokens per budget kind; each resolved budget; the AR1 matrix, cosines >
+    L1, built on first use; and per AR2 config the sentences' n-gram sets
+    and a matrix whose row k is filled when sentence k is first chosen. Row
+    k of a matrix marks the sentences that sentence k blocks. Build one per
+    cluster and pass it to select in place of the vectors; it must not
+    outlive the cluster.
 
     similarity: the sentences' pairwise cosines as an n x n array in
     sentence order (the W of the cluster's base graph), or their
@@ -123,6 +124,12 @@ class SelectionState:
                           np.array([rec.layer_index for rec in sentences]))
         self.words = [word_count(rec.raw_text) for rec in sentences]
         self.chars = [len(rec.raw_text) for rec in sentences]
+        # per budget kind, the least any candidate costs once a sentence is
+        # chosen (a chars budget adds the space before it)
+        usable = [k for k, rec in enumerate(sentences) if rec.tokens]
+        self.least_cost = {
+            "words": min((self.words[k] for k in usable), default=0),
+            "chars": min((self.chars[k] for k in usable), default=0) + 1}
         self._cosines = similarity
         self._budgets = {}
         self._ar1 = None
@@ -204,9 +211,10 @@ def select(sentences: list, ranking: CentralityResult, budget: SummaryBudget,
     """Greedy selection in rank order under the budget.
 
     A candidate that overflows the budget is skipped, not terminal: later,
-    shorter candidates may still fit. Redundant candidates (per `red`) are
-    skipped permanently. Empty-token sentences are never selected. Raises
-    EmptySummary when nothing fits.
+    shorter candidates may still fit; the scan stops once what is left of
+    the budget is below the cheapest candidate's cost. Redundant
+    candidates (per `red`) are skipped permanently. Empty-token sentences
+    are never selected. Raises EmptySummary when nothing fits.
 
     vectors: the sentences' {global_id: SentenceVector} (AR1 needs them),
     or a SelectionState built for these sentences, which keeps what one
@@ -219,6 +227,7 @@ def select(sentences: list, ranking: CentralityResult, budget: SummaryBudget,
     rows = state.redundancy_rows(red)
     kind, limit = state.budget_limit(budget)
     costs = state.words if kind == "words" else state.chars
+    least = state.least_cost[kind]
     blocked = np.zeros(len(sentences), dtype=bool)
     chosen = []
     used = 0
@@ -231,6 +240,8 @@ def select(sentences: list, ranking: CentralityResult, budget: SummaryBudget,
             continue
         chosen.append(sentences[k])
         used += cost
+        if limit - used < least:
+            break  # no later candidate fits
         if rows is not None:
             blocked |= rows(k)
     if not chosen:

@@ -317,6 +317,28 @@ def sort_and_cut(items: list, r: float) -> set:
 
 
 # ---------------------------------------------------------------------------
+# greedy extract selection, visiting every candidate
+
+def greedy_full_scan(ranked: list, cost, usable, redundant, limit: int,
+                     separator: int) -> tuple:
+    """Visit every candidate of `ranked`, best first, and take it when it
+    is usable, not redundant with a taken one, and its cost (plus
+    `separator` after the first taken) fits in what is left of limit.
+    Returns (taken candidates, budget used)."""
+    taken = []
+    used = 0
+    for c in ranked:
+        if not usable(c) or any(redundant(c, t) for t in taken):
+            continue
+        c_cost = cost(c) + (separator if taken else 0)
+        if used + c_cost > limit:
+            continue
+        taken.append(c)
+        used += c_cost
+    return taken, used
+
+
+# ---------------------------------------------------------------------------
 # Spearman rho via explicit average ranks + Pearson on ranks
 
 def average_ranks(values: list) -> list:

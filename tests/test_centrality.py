@@ -263,6 +263,40 @@ def test_all_lengths_matrix_matches_series():
         assert np.allclose(got.sum(axis=1), 1.0, atol=1e-9)
 
 
+def test_expm_squares_past_theta_13_and_keeps_components_apart():
+    # the hub of 8 leaves has column sum 8 > theta_13, so _expm halves P
+    # and squares once; the edge (9, 10) is a second component
+    edges = [(0, k) for k in range(1, 9)] + [(9, 10)]
+    p = oracles.transition_matrix(11, edges, weighted=False)
+    assert p.sum(axis=0).max() > centrality._THETA_13
+    got = centrality._expm(p) / math.e
+    assert np.abs(got - oracles.series_30_terms(p)).max() < 1e-14
+    assert (got[:9, 9:] == 0.0).all() and (got[9:, :9] == 0.0).all()
+
+
+@pytest.mark.parametrize("c", [1.0, 5.0, 40.0])
+def test_expm_of_a_scaled_swap_is_cosh_and_sinh(c):
+    # a walk matrix's powers stay within norm 1, so the tests above barely
+    # see the high Pade terms; exp(c P) with P = [[0, 1], [1, 0]] is
+    # cosh(c) I + sinh(c) P, below theta_13 at c = 5 and squared at c = 40
+    p = np.array([[0.0, 1.0], [1.0, 0.0]])
+    want = math.cosh(c) * np.eye(2) + math.sinh(c) * p
+    assert np.abs(centrality._expm(c * p) - want).max() \
+        <= 1e-13 * math.cosh(c)
+
+
+def test_expm_agrees_with_scipy():
+    from scipy.linalg import expm
+    rng = np.random.default_rng(83)
+    for n in (1, 2, 9, 40, 120, 250):
+        for density in (0.05, 0.3):
+            edges = util.random_edge_triples(rng, n, density)
+            p = oracles.transition_matrix(n, edges, weighted=True)
+            want = expm(p)
+            assert np.abs(centrality._expm(p) - want).max() \
+                <= 1e-14 * np.abs(want).max()
+
+
 def test_generalized_accessibility_isolated_ranks_last():
     g = from_edges(3, [0, 1, 0], [(0, 1, 0.5)])
     res = generalized_accessibility(g)

@@ -1,12 +1,10 @@
 import os
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import netsumm
+import util
 from netsumm import graph, load_corpus
 from netsumm.cli import main
 from netsumm.evaluate import rouge1_recall
@@ -227,18 +225,13 @@ def test_config_bad_boolean_exits_1(toy_path, tmp_path, capsys, key):
     assert not out.exists()
 
 
-def test_evaluate_default_jobs_runs_one_cluster_in_process(tmp_path,
-                                                           monkeypatch):
-    from netsumm import evaluate
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started for one cluster")
-
-    monkeypatch.setattr(evaluate, "ProcessPoolExecutor", no_pool)
+def test_evaluate_default_jobs_runs_one_cluster_in_process(tmp_path):
     root = _mini_corpus(tmp_path)
     out = tmp_path / "out"
-    assert main(["evaluate", "--corpus", str(root), "--out", str(out)]
-                + EVAL_FLAGS) == 0
+    code, modules = _main_in_fresh_interpreter(
+        ["evaluate", "--corpus", root, "--out", out] + EVAL_FLAGS)
+    assert code == 0
+    assert "concurrent.futures.process" not in modules
     assert (out / "report.csv").is_file()
 
 
@@ -499,46 +492,33 @@ def test_every_output_file_is_written_atomically(toy_path, tmp_path,
     assert sorted(replaced) == written
 
 
-def test_cold_start_never_imports_scipy_stats(toy_path, tmp_path):
-    # a fresh interpreter, so an import made by another test cannot hide one
-    script = (
+def _main_in_fresh_interpreter(argv: list) -> tuple:
+    """netsumm.cli.main(argv) run in a new interpreter: its exit code and
+    the names of the modules then loaded."""
+    code, *modules = util.run_in_fresh_interpreter(
         "import sys\n"
         "from netsumm.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(code, 'scipy.stats' in sys.modules)\n")
+        "print(code, *sys.modules)\n", argv).split()
+    return int(code), set(modules)
+
+
+def _loads_scipy(modules: set) -> bool:
+    return any(m.split(".")[0] == "scipy" for m in modules)
+
+
+def test_cold_start_never_imports_scipy_stats(toy_path, tmp_path):
     out = tmp_path / "out"
-    src = str(Path(netsumm.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]]
-                 if os.environ.get("PYTHONPATH") else []))}
-    done = subprocess.run(
-        [sys.executable, "-c", script, "evaluate", "--corpus", str(toy_path),
-         "--out", str(out), "--alpha", "1.0", "--r", "0.3",
-         "--measure", "dg,stg,pr", "--ard", "none", "--jobs", "1"],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout.splitlines()[-1] == "0 False"
+    code, modules = _main_in_fresh_interpreter(
+        ["evaluate", "--corpus", toy_path, "--out", out, "--alpha", "1.0",
+         "--r", "0.3", "--measure", "dg,stg,pr", "--ard", "none",
+         "--jobs", "1"])
+    assert code == 0
+    assert "scipy.stats" not in modules
     # the correlations were computed: some off-diagonal rho has a value
     rows = (out / "correlations.csv").read_text(encoding="utf-8").split("\n")
     assert any(cell and cell != "1.000000"
                for row in rows[1:] for cell in row.split(",")[1:])
-
-
-def _main_in_fresh_interpreter(argv: list) -> str:
-    """The exit code of netsumm.cli.main(argv) run in a new interpreter,
-    and whether any scipy module was then loaded, as "<code> <bool>"."""
-    script = (
-        "import sys\n"
-        "from netsumm.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n")
-    src = str(Path(netsumm.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]]
-                 if os.environ.get("PYTHONPATH") else []))}
-    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                          capture_output=True, text=True, timeout=120,
-                          check=True)
-    return done.stdout.splitlines()[-1]
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -548,18 +528,28 @@ def _main_in_fresh_interpreter(argv: list) -> str:
 def test_cold_start_without_gaccess_imports_no_scipy(toy_path, tmp_path,
                                                      command, flags):
     out = tmp_path / "out"
-    assert _main_in_fresh_interpreter(
-        [command, "--corpus", str(toy_path), "--out", str(out)] + flags) \
-        == "0 False"
+    code, modules = _main_in_fresh_interpreter(
+        [command, "--corpus", toy_path, "--out", out] + flags)
+    assert code == 0 and not _loads_scipy(modules)
     assert any(out.iterdir())
 
 
-def test_gaccess_imports_scipy_when_it_runs(toy_path, tmp_path):
+def test_gaccess_imports_no_scipy(toy_path, tmp_path):
     out = tmp_path / "out"
-    assert _main_in_fresh_interpreter(
-        ["summarize", "--corpus", str(toy_path), "--out", str(out),
-         "--measure", "gAccess"]) == "0 True"
+    code, modules = _main_in_fresh_interpreter(
+        ["summarize", "--corpus", toy_path, "--out", out,
+         "--measure", "gAccess"])
+    assert code == 0 and not _loads_scipy(modules)
     assert (out / "c01__gAccess__a1__r0.2__none.txt").read_text("utf-8")
+
+
+def test_default_grid_imports_no_scipy(toy_path, tmp_path):
+    out = tmp_path / "out"
+    code, modules = _main_in_fresh_interpreter(
+        ["evaluate", "--corpus", toy_path, "--out", out, "--jobs", "1"])
+    assert code == 0 and not _loads_scipy(modules)
+    report = (out / "report.csv").read_text(encoding="utf-8")
+    assert "\ngAccess," in report
 
 
 @pytest.mark.parametrize("command, flags", [

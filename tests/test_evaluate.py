@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+import util
 from netsumm import centrality, evaluate, graph, preprocess, summarize
 from netsumm.centrality import (ALL_MEASURES, HIGHEST, CentralityResult,
                                 WalkParams)
@@ -308,14 +309,18 @@ def test_run_sweep_isolates_a_failing_sym(toy_corpus, monkeypatch):
     assert notes["dg"][1] is not None
 
 
-def test_run_sweep_caps_jobs_at_cluster_count(toy_corpus, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started for one cluster")
-
-    monkeypatch.setattr(evaluate, "ProcessPoolExecutor", no_pool)
-    report = run_sweep(toy_corpus[:1], SMALL, jobs=8)
-    assert report.cluster_ids == ("c01",)
-    assert all(row.rouge1 is not None for row in report.rows)
+def test_run_sweep_caps_jobs_at_cluster_count(toy_path):
+    assert util.run_in_fresh_interpreter(
+        "import sys\n"
+        "from netsumm import load_corpus\n"
+        "from netsumm.evaluate import SweepGrid, run_sweep\n"
+        "grid = SweepGrid(alphas=(1.0,), rs=(0.2,), measures=('dg', 'stg'),"
+        " ards=('none',))\n"
+        "report = run_sweep(load_corpus(sys.argv[1])[:1], grid, jobs=8)\n"
+        "print(report.cluster_ids,"
+        " all(row.rouge1 is not None for row in report.rows),"
+        " 'concurrent.futures.process' in sys.modules)\n", [toy_path]) \
+        == "('c01',) True False"
 
 
 def test_run_sweep_single_measure_has_no_correlations(toy_corpus):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import util
 from netsumm.centrality import CentralityResult, HIGHEST, LOWEST
 from netsumm.corpus import SummaryBudget
@@ -232,9 +233,9 @@ def test_word_count():
 
 
 def _greedy_by_any(sentences, ranking, budget, red, cosines):
-    """select's rule as a plain greedy loop: sort by (snapped score, layer,
-    position, id), resolve the budget and count each candidate's words
-    afresh, and test each candidate against every chosen sentence."""
+    """select's rule as oracles.greedy_full_scan: sort by (snapped score,
+    layer, position, id), resolve the budget and count each candidate's
+    words afresh, and test each candidate against every chosen sentence."""
     by_id = {r.global_id: r for r in sentences}
     pos = {r.global_id: k for k, r in enumerate(sentences)}
     if red.method == "AR1":
@@ -246,7 +247,8 @@ def _greedy_by_any(sentences, ranking, budget, red, cosines):
         def redundant(a, b):
             return ngram_similarity(a, b, red) > red.l2
     else:
-        redundant = None
+        def redundant(a, b):
+            return False
     sign = -1.0 if ranking.direction == HIGHEST else 1.0
 
     def key(gid):
@@ -255,20 +257,12 @@ def _greedy_by_any(sentences, ranking, budget, red, cosines):
                 r.position_in_doc, gid)
 
     kind, limit = resolve_budget(budget, sentences)
-    chosen = []
-    used = 0
-    for gid in sorted(by_id, key=key):
-        r = by_id[gid]
-        if not r.tokens:
-            continue
-        if redundant and any(redundant(r, s) for s in chosen):
-            continue
-        cost = word_count(r.raw_text) if kind == "words" \
-            else len(r.raw_text) + (1 if chosen else 0)
-        if used + cost > limit:
-            continue
-        chosen.append(r)
-        used += cost
+    chosen, used = oracles.greedy_full_scan(
+        [by_id[gid] for gid in sorted(by_id, key=key)],
+        cost=lambda r: (word_count(r.raw_text) if kind == "words"
+                        else len(r.raw_text)),
+        usable=lambda r: bool(r.tokens), redundant=redundant, limit=limit,
+        separator=1 if kind == "chars" else 0)
     if not chosen:
         raise EmptySummary(f"no sentence fits the {kind} budget of {limit}")
     return Summary(tuple(r.global_id for r in chosen),

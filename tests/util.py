@@ -4,8 +4,14 @@ Everything here is reproducible from an explicit numpy Generator so any
 failing case can be replayed from its seed.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import netsumm
 from netsumm import from_edges
 from netsumm.centrality import CentralityResult, HIGHEST
 from netsumm.preprocess import SentenceRecord
@@ -114,3 +120,17 @@ def ranking_preferring(records, preferred, measure="dg"):
     for rank, gid in enumerate(preferred):
         scores[gid] = top + len(preferred) - rank
     return CentralityResult(measure, scores, HIGHEST)
+
+
+def run_in_fresh_interpreter(script: str, argv: list) -> str:
+    """The last line `script` prints, run with argv in a new interpreter
+    that imports this netsumm, so that a module another test imported
+    cannot hide an import."""
+    src = str(Path(netsumm.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]]
+                 if os.environ.get("PYTHONPATH") else []))}
+    done = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return done.stdout.splitlines()[-1]
