@@ -9,10 +9,10 @@ against reference summaries drives the (alpha, r) parameter sweep.
 """
 
 from .centrality import (ALL_MEASURES, UNWEIGHTED_MEASURES,
-                         WEIGHTED_MEASURES, CentralityResult,
-                         StochasticMatrix, WalkParams, absorption_time,
-                         accessibility, all_lengths_matrix, avg_shortest_path,
-                         compute, degree, generalized_accessibility, pagerank,
+                         WEIGHTED_MEASURES, CentralityResult, StochasticMatrix,
+                         absorption_time, accessibility, all_lengths_matrix,
+                         avg_shortest_path, compute, degree,
+                         generalized_accessibility, pagerank,
                          saw_probabilities, strength, symmetry)
 from .corpus import (Cluster, Document, SummaryBudget, load_cluster,
                      load_corpus)

@@ -2,7 +2,8 @@
 
 Each measure returns a CentralityResult holding one score per node and the
 direction in which higher rank means "more central" (summaries take the top
-of the resulting order). Walk-based measures share WalkParams.
+of the resulting order). The walk-based measures access, sym and sym_low
+read a walk length or level depth h (default 2).
 
 Measure ids and their graph pairing:
 
@@ -60,22 +61,11 @@ class CentralityResult:
         return sorted(self.snapped, key=lambda v: (sign * self.snapped[v], v))
 
 
-# PageRank's power iteration stops when an iterate moves less than the
-# tolerance in L1 norm, and fails with ConvergenceError after the maximum.
+# PageRank's damping; its power iteration stops when an iterate moves less
+# than the tolerance in L1 norm, and fails with ConvergenceError after the max.
+PAGERANK_DAMPING = 0.85
 PAGERANK_TOLERANCE = 1e-10
 PAGERANK_MAX_ITERATIONS = 10000
-
-
-@dataclass(frozen=True)
-class WalkParams:
-    h: int = 2
-    pagerank_gamma: float = 0.85
-
-    def __post_init__(self):
-        if self.h < 1:
-            raise InvalidParameter(f"h must be >= 1, got {self.h}")
-        if not 0 < self.pagerank_gamma < 1:
-            raise InvalidParameter("pagerank_gamma must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -182,21 +172,19 @@ def avg_shortest_path(g: MultilayerGraph, weighted: bool) -> CentralityResult:
 # ---------------------------------------------------------------------------
 # PageRank
 
-def pagerank(g: MultilayerGraph, weighted: bool,
-             params: WalkParams = WalkParams()) -> CentralityResult:
-    """Power iteration for pi = gamma * M * pi + (1 - gamma) / n with
-    M[i, j] = w_ij / s_j (weight 1 when unweighted)."""
+def pagerank(g: MultilayerGraph, weighted: bool) -> CentralityResult:
+    """Power iteration for pi = d * M * pi + (1 - d) / n with d =
+    PAGERANK_DAMPING and M[i, j] = w_ij / s_j (weight 1 when unweighted)."""
     n = g.n_nodes
     a = _weights(g) if weighted else (g.W > 0) * 1.0
     col = a.sum(axis=0)
     m = np.zeros((n, n))
     nz = col > 0
     m[:, nz] = a[:, nz] / col[nz]
-    gamma = params.pagerank_gamma
-    beta = (1.0 - gamma) / n
+    beta = (1.0 - PAGERANK_DAMPING) / n
     pi = np.full(n, 1.0 / n)
     for _ in range(PAGERANK_MAX_ITERATIONS):
-        nxt = gamma * (m @ pi) + beta
+        nxt = PAGERANK_DAMPING * (m @ pi) + beta
         if np.abs(nxt - pi).sum() < PAGERANK_TOLERANCE:
             pi = nxt
             break
@@ -277,7 +265,10 @@ def accessibility(g: MultilayerGraph, h: int) -> CentralityResult:
     A[j, k] / (d_j - 1) onwards, dropped where d_j = 1; zero the diagonal
     (the walk may not return to i) and renormalize each row. Larger h
     enumerates the walks from each node as saw_probabilities does.
+    Raises InvalidParameter for h < 1.
     """
+    if h < 1:
+        raise InvalidParameter(f"h must be >= 1, got {h}")
     n = g.n_nodes
     if h >= n:
         return CentralityResult("access", {i: 0.0 for i in range(n)}, HIGHEST)
@@ -458,9 +449,9 @@ def absorption_time(g: MultilayerGraph) -> CentralityResult:
 # ---------------------------------------------------------------------------
 # registry
 
-def compute(measure: str, g: MultilayerGraph,
-            params: WalkParams = WalkParams()) -> CentralityResult:
-    """Compute one measure by id on the given graph.
+def compute(measure: str, g: MultilayerGraph, h: int = 2) -> CentralityResult:
+    """Compute one measure by id on the given graph; h is the walk length
+    or level depth of access, sym and sym_low.
 
     The caller is responsible for passing the right graph variant (weighted
     for WEIGHTED_MEASURES, r-thresholded for UNWEIGHTED_MEASURES).
@@ -474,17 +465,17 @@ def compute(measure: str, g: MultilayerGraph,
     if measure == "sp_w":
         return avg_shortest_path(g, weighted=True)
     if measure == "pr":
-        return pagerank(g, weighted=False, params=params)
+        return pagerank(g, weighted=False)
     if measure == "pr_w":
-        return pagerank(g, weighted=True, params=params)
+        return pagerank(g, weighted=True)
     if measure == "access":
-        return accessibility(g, params.h)
+        return accessibility(g, h)
     if measure == "gAccess":
         return generalized_accessibility(g)
     if measure == "sym":
-        return symmetry(g, params.h)
+        return symmetry(g, h)
     if measure == "sym_low":
-        return sym_low_from(symmetry(g, params.h))
+        return sym_low_from(symmetry(g, h))
     if measure == "absT":
         return absorption_time(g)
     raise InvalidParameter(f"unknown measure {measure!r}")

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, summarize
-from .centrality import WalkParams
 from .corpus import (SUPPORTED_LANGUAGES, load_corpus, parse_budget,
                      parse_manifest)
 from .errors import NetsummError
@@ -134,13 +133,9 @@ def _grid_from(merged: dict) -> evaluate.SweepGrid:
         kwargs["measures"] = tuple(_comma_list(str(merged["measure"])))
     if "ard" in merged:
         kwargs["ards"] = tuple(_comma_list(str(merged["ard"])))
-    return evaluate.SweepGrid(**kwargs)
-
-
-def _walk_params(merged: dict) -> WalkParams:
     if "h" in merged:
-        return WalkParams(h=_number("h", merged["h"], int))
-    return WalkParams()
+        kwargs["h"] = _number("h", merged["h"], int)
+    return evaluate.SweepGrid(**kwargs)
 
 
 def _load(merged: dict) -> list:
@@ -188,7 +183,6 @@ def cmd_summarize(merged: dict) -> int:
     clusters = _load(merged)
     grid = _grid_from({**{"alpha": "1.0", "r": "0.2",
                           "measure": "dg", "ard": "none"}, **merged})
-    params = _walk_params(merged)
     out = _out_dir(merged)
     failed = False
 
@@ -210,8 +204,7 @@ def cmd_summarize(merged: dict) -> int:
         kind, _ = prepared.state.budget_limit(cluster.budget)
         if merged.get("dump-sim"):
             _write_sim(target(f"{cluster.id}__sim.csv"), prepared)
-        for alpha, r, g, results in evaluate.grid_rankings(prepared, grid,
-                                                           params):
+        for alpha, r, g, results in evaluate.grid_rankings(prepared, grid):
             if merged.get("dump-graph") and g is not None:
                 suffix = "" if r is None else f"__r{r:g}"
                 _write_edges(
@@ -229,7 +222,7 @@ def cmd_summarize(merged: dict) -> int:
                         summ = summarize.select(
                             prepared.records, ranking, cluster.budget,
                             summarize.RedundancyConfig(method=ard),
-                            vectors=prepared.state)
+                            prepared.state)
                     except NetsummError as exc:
                         fail(f"{stem}__{ard}", exc)
                         continue
@@ -247,13 +240,12 @@ def cmd_evaluate(merged: dict) -> int:
               file=sys.stderr)
         return EXIT_NO_REFERENCES
     grid = _grid_from(merged)
-    params = _walk_params(merged)
     aggregate = merged.get("aggregate", "mean")
     jobs = _number("jobs", merged["jobs"], int) if "jobs" in merged \
         else os.cpu_count() or 1
     evaluate.check_sweep_options(aggregate, jobs)
     out = _make_dir(_out_dir(merged))
-    report = evaluate.run_sweep(clusters, grid, params, aggregate, jobs)
+    report = evaluate.run_sweep(clusters, grid, aggregate, jobs)
     evaluate.write_report_csv(report, out / "report.csv")
     evaluate.write_best_csv(report, out / "best.csv")
     evaluate.write_correlations_csv(report, out / "correlations.csv")
@@ -280,8 +272,9 @@ def _write_edges(path: Path, g) -> None:
 
 def _write_sim(path: Path, prepared: evaluate.PreparedCluster) -> None:
     sims = prepared.base.W.copy()
-    # a sentence's cosine with itself: 1, or 0 for the zero vector
-    np.fill_diagonal(sims, [1.0 if v.norm else 0.0 for v in prepared.vectors])
+    # a sentence's cosine with itself: 1, or 0 when it has no tokens
+    np.fill_diagonal(sims, [1.0 if rec.tokens else 0.0
+                            for rec in prepared.records])
     lines = [",".join(f"{x:.6f}" for x in row) for row in sims.tolist()]
     evaluate.write_lines(path, lines)
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import centrality, graph, preprocess, summarize, tfidf
-from .centrality import ALL_MEASURES, WEIGHTED_MEASURES, WalkParams
+from .centrality import ALL_MEASURES, WEIGHTED_MEASURES
 from .corpus import Cluster
 from .errors import InvalidParameter, InvalidReference, NetsummError
 
@@ -39,12 +39,11 @@ AGGREGATES = ("mean", "max")
 class PreparedCluster:
     """What every (alpha, r, measure, ard) cell of one cluster starts from.
 
-    vectors[i] is the tf-idf vector of records[i], node i of `base`; the
-    base graph's W holds every pairwise cosine, which `state` reads for AR1.
+    records[i] is node i of `base`; the base graph's W holds every pairwise
+    tf-idf cosine, which `state` reads for AR1.
     """
 
     records: list
-    vectors: list
     base: graph.MultilayerGraph
     state: summarize.SelectionState
 
@@ -57,7 +56,7 @@ def prepare_cluster(cluster: Cluster) -> PreparedCluster:
     model = tfidf.fit(records, len(cluster.documents))
     vectors = [tfidf.vectorize(rec, model) for rec in records]
     base = graph.build(vectors, [rec.layer_index for rec in records])
-    return PreparedCluster(records, vectors, base,
+    return PreparedCluster(records, base,
                            summarize.SelectionState(records, base.W))
 
 
@@ -175,10 +174,13 @@ class SweepGrid:
     rs: tuple = DEFAULT_RS
     measures: tuple = ALL_MEASURES
     ards: tuple = DEFAULT_ARDS
+    h: int = 2  # the walk length or level depth of access, sym, sym_low
 
     def __post_init__(self):
         if not (self.alphas and self.rs and self.measures and self.ards):
             raise InvalidParameter("grid lists must be non-empty")
+        if self.h < 1:
+            raise InvalidParameter(f"h must be >= 1, got {self.h}")
         if not all(math.isfinite(a) and a > 0 for a in self.alphas):
             raise InvalidParameter("alphas must be positive and finite")
         if any(not 0 <= r < 1 for r in self.rs):
@@ -249,8 +251,7 @@ def _corr_snapshot(labels: tuple, results: dict) -> CorrelationMatrix | None:
     return CorrelationMatrix(labels, values)
 
 
-def grid_rankings(prepared: PreparedCluster, grid: SweepGrid,
-                  params: WalkParams):
+def grid_rankings(prepared: PreparedCluster, grid: SweepGrid):
     """Every ranking of one cluster over the grid, one graph at a time.
 
     Per alpha, yields (alpha, None, g_alpha, {weighted measure: result});
@@ -264,7 +265,7 @@ def grid_rankings(prepared: PreparedCluster, grid: SweepGrid,
     """
     def rank(measure, g):
         try:
-            return centrality.compute(measure, g, params)
+            return centrality.compute(measure, g, grid.h)
         except NetsummError as exc:
             return exc
 
@@ -295,8 +296,8 @@ def _skip(exc: NetsummError) -> str:
     return f"skip:{type(exc).__name__}"
 
 
-def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, params: WalkParams,
-                      aggregate: str) -> tuple:
+def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, aggregate: str
+                      ) -> tuple:
     """All cell scores for one cluster: ({(measure, alpha, r, ard):
     (score|None, note)}, CorrelationMatrix|None)."""
     try:
@@ -318,7 +319,7 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, params: WalkParams,
     cells = {}
     corr_alpha, corr_r = _corr_point(grid)
     corr_results = {}
-    for alpha, r, _, results in grid_rankings(prepared, grid, params):
+    for alpha, r, _, results in grid_rankings(prepared, grid):
         for measure, ranking in results.items():
             if isinstance(ranking, NetsummError):
                 for ard in grid.ards:
@@ -332,7 +333,7 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, params: WalkParams,
                     selected = summarize.select(
                         prepared.records, ranking, cluster.budget,
                         summarize.RedundancyConfig(method=ard),
-                        vectors=prepared.state).selected
+                        prepared.state).selected
                 except NetsummError as exc:
                     cells[(measure, alpha, r, ard)] = (None, _skip(exc))
                     continue
@@ -359,8 +360,7 @@ def check_sweep_options(aggregate: str, jobs: int) -> None:
 
 
 def run_sweep(clusters: list, grid: SweepGrid = SweepGrid(),
-              params: WalkParams = WalkParams(), aggregate: str = "mean",
-              jobs: int = 1) -> EvaluationReport:
+              aggregate: str = "mean", jobs: int = 1) -> EvaluationReport:
     """Evaluate the full grid over a corpus.
 
     Clusters run in `jobs` worker processes, at most one per cluster; with
@@ -379,10 +379,9 @@ def run_sweep(clusters: list, grid: SweepGrid = SweepGrid(),
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             evaluated = list(pool.map(
                 _evaluate_cluster, clusters,
-                [grid] * len(clusters), [params] * len(clusters),
-                [aggregate] * len(clusters)))
+                [grid] * len(clusters), [aggregate] * len(clusters)))
     else:
-        evaluated = [_evaluate_cluster(c, grid, params, aggregate)
+        evaluated = [_evaluate_cluster(c, grid, aggregate)
                      for c in clusters]
 
     cluster_ids = tuple(c.id for c in clusters)

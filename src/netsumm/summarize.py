@@ -3,12 +3,12 @@ anti-redundancy filtering.
 
 AR1 skips a candidate whose tf-idf cosine to any already selected sentence
 exceeds L1 = (max - min)/2 of all pairwise similarities in the cluster.
-AR2 skips on a gamma-weighted Jaccard of 1..n-gram sets above the l2
-threshold. Both comparisons are strict.
+AR2 skips on a weighted Jaccard agreement of 1- to 4-gram sets, weights
+AR2_WEIGHTS, above AR2_THRESHOLD. Both comparisons are strict.
 
 What select needs beyond the ranking does not change across the cells of a
 sweep: each sentence's word and character counts, each resolved budget, the
-(layer, position, id) tie keys, and per anti-redundancy config a boolean
+(layer, position, id) tie keys, and per anti-redundancy method a boolean
 matrix of which sentence a chosen one blocks. A SelectionState holds these
 for one cluster and computes each piece once. AR1's matrix is the pairwise
 cosines (the weights of the cluster's base graph) above L1; AR2's fills a
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graph
 from .centrality import HIGHEST, CentralityResult
 from .corpus import SummaryBudget
 from .errors import EmptySummary, InvalidInput, InvalidParameter
@@ -31,6 +30,10 @@ from .preprocess import SentenceRecord
 from .tfidf import cosine  # noqa: F401  (a public name of this module)
 
 AR_METHODS = ("none", "AR1", "AR2")
+# AR2 skips a candidate whose n-gram agreement with a chosen sentence
+# exceeds the threshold; the weights are those of n = 1, 2, 3, 4.
+AR2_THRESHOLD = 0.1
+AR2_WEIGHTS = (0.25, 0.25, 0.25, 0.25)
 
 
 @dataclass(frozen=True)
@@ -43,23 +46,10 @@ class Summary:
 @dataclass(frozen=True)
 class RedundancyConfig:
     method: str = "none"
-    l2: float = 0.1
-    gamma: tuple = (0.25, 0.25, 0.25, 0.25)  # one weight per n-gram order
-
-    @property
-    def n(self) -> int:
-        """The highest n-gram order AR2 compares."""
-        return len(self.gamma)
 
     def __post_init__(self):
         if self.method not in AR_METHODS:
             raise InvalidParameter(f"unknown anti-redundancy {self.method!r}")
-        if not 0 < self.l2 < 1:
-            raise InvalidParameter(f"l2 must be in (0, 1), got {self.l2}")
-        if not self.gamma:
-            raise InvalidParameter("need at least one gamma weight")
-        if any(gk < 0 for gk in self.gamma):
-            raise InvalidParameter("gamma weights must be >= 0")
 
 
 def ar1_threshold(sims) -> float:
@@ -74,26 +64,25 @@ def _ngrams(tokens, k: int) -> set:
     return {tuple(tokens[i:i + k]) for i in range(len(tokens) - k + 1)}
 
 
-def ngram_sets(tokens, n: int) -> tuple:
-    """The k-gram sets of tokens for k = 1..n."""
-    return tuple(_ngrams(tokens, k) for k in range(1, n + 1))
+def ngram_sets(tokens) -> tuple:
+    """The k-gram sets of tokens for each order k that AR2_WEIGHTS weighs."""
+    return tuple(_ngrams(tokens, k) for k in range(1, len(AR2_WEIGHTS) + 1))
 
 
 def ngram_similarity(a: SentenceRecord, b: SentenceRecord,
-                     cfg: RedundancyConfig, grams: tuple | None = None
-                     ) -> float:
-    """Weighted Jaccard agreement of k-gram sets, k = 1..cfg.n.
+                     grams: tuple | None = None) -> float:
+    """Jaccard agreement of the k-gram sets, weighted by AR2_WEIGHTS.
 
-    grams: the pair's ngram_sets(tokens, cfg.n), when already built.
+    grams: the pair's ngram_sets, when already built.
     """
     if grams is None:
-        grams = (ngram_sets(a.tokens, cfg.n), ngram_sets(b.tokens, cfg.n))
+        grams = (ngram_sets(a.tokens), ngram_sets(b.tokens))
     total = 0.0
-    for k, (ga, gb) in enumerate(zip(*grams)):
+    for weight, ga, gb in zip(AR2_WEIGHTS, *grams):
         common = len(ga & gb)
         union = len(ga) + len(gb) - common
         if union:
-            total += cfg.gamma[k] * common / union
+            total += weight * common / union
     return total
 
 
@@ -103,20 +92,17 @@ class SelectionState:
     Holds, in sentence order: each sentence's word and character counts and
     its (layer, position, id) tie keys; the least cost of a sentence with
     tokens per budget kind; each resolved budget; the AR1 matrix, cosines >
-    L1, built on first use; and per AR2 config the sentences' n-gram sets
-    and a matrix whose row k is filled when sentence k is first chosen. Row
-    k of a matrix marks the sentences that sentence k blocks. Build one per
-    cluster and pass it to select in place of the vectors; it must not
-    outlive the cluster.
+    L1, built on first use; and, once AR2 is first used, the sentences'
+    n-gram sets and a matrix whose row k is filled when sentence k is first
+    chosen. Row k of a matrix marks the sentences that sentence k blocks.
+    Build one per cluster and pass it to select; it must not outlive the
+    cluster.
 
-    similarity: the sentences' pairwise cosines as an n x n array in
-    sentence order (the W of the cluster's base graph), or their
-    {global_id: SentenceVector}, from which graph.cosine_matrix computes the
-    array when AR1 first needs it.
+    cosines: the sentences' pairwise cosines as an n x n array in sentence
+    order (the W of the cluster's base graph); AR1 needs them.
     """
 
-    def __init__(self, sentences: list,
-                 similarity: np.ndarray | dict | None = None):
+    def __init__(self, sentences: list, cosines: np.ndarray | None = None):
         self.sentences = sentences
         self._id_list = [rec.global_id for rec in sentences]
         self._tie_keys = (np.array(self._id_list),
@@ -130,10 +116,10 @@ class SelectionState:
         self.least_cost = {
             "words": min((self.words[k] for k in usable), default=0),
             "chars": min((self.chars[k] for k in usable), default=0) + 1}
-        self._cosines = similarity
+        self._cosines = cosines
         self._budgets = {}
         self._ar1 = None
-        self._ar2 = {}
+        self._ar2 = None
 
     def budget_limit(self, budget: SummaryBudget) -> tuple:
         """resolve_budget over these sentences."""
@@ -159,19 +145,14 @@ class SelectionState:
             if self._ar1 is None:
                 if self._cosines is None:
                     raise InvalidInput(
-                        "AR1 needs the cluster's sentence vectors")
-                if isinstance(self._cosines, dict):
-                    self._cosines = graph.cosine_matrix(
-                        [self._cosines[gid] for gid in self._id_list])
+                        "AR1 needs the cluster's sentence cosines")
                 self._ar1 = self._cosines > ar1_threshold(
                     self._cosines[np.triu_indices(n, 1)])
             return self._ar1.__getitem__
-        if red not in self._ar2:
-            self._ar2[red] = (np.zeros((n, n), dtype=bool),
-                              np.zeros(n, dtype=bool),
-                              [ngram_sets(rec.tokens, red.n)
-                               for rec in self.sentences])
-        blocks, filled, grams = self._ar2[red]
+        if self._ar2 is None:
+            self._ar2 = (np.zeros((n, n), dtype=bool), np.zeros(n, dtype=bool),
+                         [ngram_sets(rec.tokens) for rec in self.sentences])
+        blocks, filled, grams = self._ar2
 
         def rows(k: int) -> np.ndarray:
             if not filled[k]:
@@ -184,7 +165,7 @@ class SelectionState:
                         blocks[k, j] = blocks[j, k]
                     elif j != k and b.tokens:
                         blocks[k, j] = ngram_similarity(
-                            a, b, red, (grams[k], grams[j])) > red.l2
+                            a, b, (grams[k], grams[j])) > AR2_THRESHOLD
                 filled[k] = True
             return blocks[k]
         return rows
@@ -206,8 +187,8 @@ def resolve_budget(budget: SummaryBudget, sentences: list) -> tuple:
 
 
 def select(sentences: list, ranking: CentralityResult, budget: SummaryBudget,
-           red: RedundancyConfig,
-           vectors: dict | SelectionState | None = None) -> Summary:
+           red: RedundancyConfig, state: SelectionState | None = None
+           ) -> Summary:
     """Greedy selection in rank order under the budget.
 
     A candidate that overflows the budget is skipped, not terminal: later,
@@ -216,12 +197,11 @@ def select(sentences: list, ranking: CentralityResult, budget: SummaryBudget,
     candidates (per `red`) are skipped permanently. Empty-token sentences
     are never selected. Raises EmptySummary when nothing fits.
 
-    vectors: the sentences' {global_id: SentenceVector} (AR1 needs them),
-    or a SelectionState built for these sentences, which keeps what one
-    call computes for the next.
+    state: a SelectionState built for these sentences, which keeps what one
+    call computes for the next; AR1 needs one that holds the cosines.
     """
-    state = vectors if isinstance(vectors, SelectionState) \
-        else SelectionState(sentences, vectors)
+    if state is None:
+        state = SelectionState(sentences)
     if state.sentences is not sentences:
         raise InvalidParameter("the selection state holds other sentences")
     rows = state.redundancy_rows(red)

@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 import util
-from netsumm.centrality import (ALL_MEASURES, WalkParams, absorption_time,
+from netsumm.centrality import (ALL_MEASURES, absorption_time,
                                 accessibility, all_lengths_matrix,
                                 avg_shortest_path, degree, pagerank,
                                 strength, StochasticMatrix)
@@ -208,12 +208,11 @@ def test_acceptance_6_duplicate_suppression():
     for _ in range(100):
         records, pairs = util.random_records(
             rng, dup_pairs=int(rng.integers(1, 3)))
-        vectors = util.vectors_for(records)
         flat = [gid for pair in pairs for gid in pair]
         ranking = util.ranking_preferring(records, flat)
         control = select(records, ranking, budget, RedundancyConfig())
         ar1 = select(records, ranking, budget, RedundancyConfig("AR1"),
-                     vectors=vectors)
+                     util.state_for(records))
         ar2 = select(records, ranking, budget, RedundancyConfig("AR2"))
         for a, b in pairs:
             ok = ok and a in control.selected and b in control.selected

@@ -10,7 +10,7 @@ from netsumm import centrality
 from netsumm.centrality import (ALL_MEASURES, HIGHEST, LOWEST,
                                 UNWEIGHTED_MEASURES, WEIGHTED_MEASURES,
                                 CentralityResult, StochasticMatrix,
-                                WalkParams, absorption_time, accessibility,
+                                absorption_time, accessibility,
                                 all_lengths_matrix, avg_shortest_path,
                                 compute, degree, generalized_accessibility,
                                 _row_diversity, pagerank, saw_probabilities,
@@ -48,13 +48,6 @@ def test_ranked_directions_and_ties():
     res = CentralityResult("absT", {0: 28.181818181818155,
                                     1: 28.181818181818127}, LOWEST)
     assert res.ranked() == [0, 1]
-
-
-def test_walk_params_validation():
-    WalkParams(h=3, pagerank_gamma=0.9)
-    for bad in (dict(h=0), dict(pagerank_gamma=1.0)):
-        with pytest.raises(InvalidParameter):
-            WalkParams(**bad)
 
 
 def test_stochastic_matrix_validation():
@@ -177,6 +170,12 @@ def test_saw_probabilities_hand_values():
 def test_saw_probabilities_rejects_h_below_one():
     with pytest.raises(InvalidParameter):
         saw_probabilities(CYCLE4, 0, 0)
+
+
+@pytest.mark.parametrize("h", [0, -5])
+def test_accessibility_rejects_h_below_one(h):
+    with pytest.raises(InvalidParameter, match=f"h must be >= 1, got {h}"):
+        accessibility(CYCLE4, h)
 
 
 def test_saw_matches_exact_enumeration():
@@ -509,10 +508,9 @@ def test_snapped_ranking_survives_relabelled_nodes(toy_corpus, source):
         moved = MultilayerGraph(g.W[np.ix_(perm, perm)], g.layers[perm],
                                 g.weighted)
         for h in hs:
-            params = WalkParams(h=h)
             for measure in ALL_MEASURES:
-                want = compute(measure, g, params)
-                got = compute(measure, moved, params)
+                want = compute(measure, g, h)
+                got = compute(measure, moved, h)
                 back = CentralityResult(measure, {
                     int(perm[k]): x for k, x in got.scores.items()},
                     got.direction)

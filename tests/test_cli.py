@@ -267,6 +267,7 @@ def test_summarize_refuses_unbounded_h(toy_path, tmp_path, capsys):
     ("evaluate", [], "r = 0.1,abc\n", "r"),
     ("evaluate", [], "aggregate = median\n", "aggregate"),
     ("evaluate", ["--jobs", "-3"], "", "jobs"),
+    ("summarize", ["--h", "0"], "", "h"),
 ])
 def test_non_numeric_value_exits_1(tmp_path, capsys, command, flags,
                                    cfg_text, key):

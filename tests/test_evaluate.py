@@ -7,8 +7,7 @@ import pytest
 import oracles
 import util
 from netsumm import centrality, evaluate, graph, preprocess, summarize
-from netsumm.centrality import (ALL_MEASURES, HIGHEST, CentralityResult,
-                                WalkParams)
+from netsumm.centrality import ALL_MEASURES, HIGHEST, CentralityResult
 from netsumm.corpus import SummaryBudget
 from netsumm.errors import (ConvergenceError, InvalidParameter,
                             InvalidReference, SingularMatrix)
@@ -194,6 +193,8 @@ def test_sweep_grid_validation():
                 dict(measures=("dg", "pr", "dg")), dict(ards=("AR1", "AR1"))):
         with pytest.raises(InvalidParameter):
             SweepGrid(**bad)
+    with pytest.raises(InvalidParameter, match="h must be >= 1, got 0"):
+        SweepGrid(h=0)
     with pytest.raises(InvalidParameter, match="--alpha lists 1"):
         SweepGrid(alphas=(1.0, 1))
 
@@ -268,10 +269,10 @@ def _fail_in_cluster(monkeypatch, cluster_id, measure, exc):
         current["id"] = cluster.id
         return build_sentences(cluster, res)
 
-    def failing(m, g, params=WalkParams()):
+    def failing(m, g, h=2):
         if m == measure and current["id"] == cluster_id:
             raise exc
-        return compute(m, g, params)
+        return compute(m, g, h)
 
     monkeypatch.setattr(preprocess, "build_sentences", tracking)
     monkeypatch.setattr(centrality, "compute", failing)
@@ -384,8 +385,9 @@ def test_write_curves_takes_best_over_ards(tmp_path):
 def test_grid_rankings_yields_each_graph_once(toy_corpus):
     prepared = prepare_cluster(toy_corpus[0])
     grid = SweepGrid(alphas=(0.5, 1.9), rs=(0.1, 0.3),
-                     measures=("dg", "stg", "sym", "access"), ards=("none",))
-    groups = list(grid_rankings(prepared, grid, WalkParams(h=9)))
+                     measures=("dg", "stg", "sym", "access"), ards=("none",),
+                     h=9)
+    groups = list(grid_rankings(prepared, grid))
     assert [(alpha, r, g.weighted, list(results))
             for alpha, r, g, results in groups] == [
         (0.5, None, True, ["stg", "sym"]),
@@ -411,7 +413,7 @@ def test_grid_rankings_computes_hops_once_per_graph(toy_corpus, monkeypatch):
     prepared = prepare_cluster(toy_corpus[0])
     grid = SweepGrid(alphas=(0.5, 1.9), rs=(0.1, 0.3),
                      measures=("sp", "absT", "sym", "sp_w"), ards=("none",))
-    for *_, results in grid_rankings(prepared, grid, WalkParams()):
+    for *_, results in grid_rankings(prepared, grid):
         assert all(isinstance(res, CentralityResult)
                    for res in results.values())
     # sym's on the base graph, then sp and absT share each thresholded one

@@ -11,10 +11,11 @@ from netsumm.centrality import CentralityResult, HIGHEST, LOWEST
 from netsumm.corpus import SummaryBudget
 from netsumm.errors import EmptySummary, InvalidInput, InvalidParameter
 from netsumm.preprocess import SentenceRecord
-from netsumm import graph, summarize
-from netsumm.summarize import (RedundancyConfig, SelectionState, Summary,
-                               ar1_threshold, ngram_sets, ngram_similarity,
-                               resolve_budget, select, word_count)
+from netsumm import summarize
+from netsumm.summarize import (AR2_THRESHOLD, RedundancyConfig,
+                               SelectionState, Summary, ar1_threshold,
+                               ngram_sets, ngram_similarity, resolve_budget,
+                               select, word_count)
 
 
 def rec(gid, layer, pos, text):
@@ -29,27 +30,23 @@ def test_ar1_threshold():
 
 
 def test_redundancy_config_validation():
-    assert RedundancyConfig("AR2", l2=0.3, gamma=(0.5, 0.5)).n == 2
-    for bad in (dict(method="AR3"), dict(l2=0.0), dict(l2=1.0),
-                dict(gamma=()), dict(gamma=(0.5, -0.1, 0.2, 0.4))):
-        with pytest.raises(InvalidParameter):
-            RedundancyConfig(**bad)
+    assert RedundancyConfig("AR2").method == "AR2"
+    with pytest.raises(InvalidParameter):
+        RedundancyConfig("AR3")
 
 
 def test_ngram_similarity_identical_and_disjoint():
-    cfg = RedundancyConfig("AR2")
     a = rec(0, 0, 0, "river flood town rescue crews")
-    assert ngram_similarity(a, a, cfg) == pytest.approx(1.0)
+    assert ngram_similarity(a, a) == pytest.approx(1.0)
     b = rec(1, 1, 0, "storm wind damage power lines")
-    assert ngram_similarity(a, b, cfg) == 0.0
+    assert ngram_similarity(a, b) == 0.0
 
 
 def test_ngram_similarity_short_sentences():
     # 2 tokens: only 1- and 2-gram terms can contribute
-    cfg = RedundancyConfig("AR2")
     a = rec(0, 0, 0, "river flood")
     b = rec(1, 1, 0, "river flood")
-    assert ngram_similarity(a, b, cfg) == pytest.approx(0.5)
+    assert ngram_similarity(a, b) == pytest.approx(0.5)
 
 
 def test_resolve_budget():
@@ -135,22 +132,22 @@ def test_select_empty_summary_when_nothing_fits():
 def test_select_ar1_requires_vectors():
     sentences = [rec(0, 0, 0, "a b."), rec(1, 1, 0, "c d.")]
     ranking = CentralityResult("dg", {0: 1.0, 1: 0.5}, HIGHEST)
-    with pytest.raises(InvalidInput):
-        select(sentences, ranking, SummaryBudget("words", 10),
-               RedundancyConfig("AR1"))
+    for state in (None, SelectionState(sentences)):
+        with pytest.raises(InvalidInput):
+            select(sentences, ranking, SummaryBudget("words", 10),
+                   RedundancyConfig("AR1"), state)
 
 
 def test_select_ar1_skips_near_duplicates():
     rng = np.random.default_rng(43)
     records, pairs = util.random_records(rng, dup_pairs=1)
-    vectors = util.vectors_for(records)
     a, b = pairs[0]
     ranking = util.ranking_preferring(records, [a, b])
     budget = SummaryBudget("words", 10_000)
     plain = select(records, ranking, budget, RedundancyConfig())
     assert a in plain.selected and b in plain.selected
     out = select(records, ranking, budget, RedundancyConfig("AR1"),
-                 vectors=vectors)
+                 util.state_for(records))
     assert not (a in out.selected and b in out.selected)
 
 
@@ -171,50 +168,42 @@ def _random_rankings(rng, records, count):
 
 
 def test_ngram_similarity_with_prebuilt_sets():
-    cfg = RedundancyConfig("AR2")
     a = rec(0, 0, 0, "river flood town rescue crews")
     b = rec(1, 1, 0, "river flood town storm")
-    grams = (ngram_sets(a.tokens, cfg.n), ngram_sets(b.tokens, cfg.n))
-    assert ngram_similarity(a, b, cfg, grams) == ngram_similarity(a, b, cfg)
+    grams = (ngram_sets(a.tokens), ngram_sets(b.tokens))
+    assert ngram_similarity(a, b, grams) == ngram_similarity(a, b)
 
 
 def test_selection_state_gives_the_same_summaries():
     rng = np.random.default_rng(53)
     records, _ = util.random_records(rng, n_sentences=14, dup_pairs=3)
-    vectors = util.vectors_for(records)
-    state = SelectionState(records, vectors)
+    state = util.state_for(records)
     budget = SummaryBudget("words", 25)
     for ranking in _random_rankings(rng, records, 12):
         for red in (RedundancyConfig(), RedundancyConfig("AR1"),
-                    RedundancyConfig("AR2"), RedundancyConfig("AR2", l2=0.3)):
+                    RedundancyConfig("AR2")):
             assert select(records, ranking, budget, red, state) == \
-                select(records, ranking, budget, red, vectors)
+                select(records, ranking, budget, red, util.state_for(records))
 
 
 def test_selection_state_computes_each_piece_once(monkeypatch):
     rng = np.random.default_rng(59)
     records, _ = util.random_records(rng, n_sentences=12, dup_pairs=2)
-    calls = {"cosine_matrix": 0, "ar2": []}
-    cosine_matrix, similarity = graph.cosine_matrix, summarize.ngram_similarity
+    calls = []
+    similarity = summarize.ngram_similarity
 
-    def counted_cosine_matrix(vectors):
-        calls["cosine_matrix"] += 1
-        return cosine_matrix(vectors)
+    def counted_similarity(a, b, grams=None):
+        calls.append(frozenset((a.global_id, b.global_id)))
+        return similarity(a, b, grams)
 
-    def counted_similarity(a, b, cfg, grams=None):
-        calls["ar2"].append(frozenset((a.global_id, b.global_id)))
-        return similarity(a, b, cfg, grams)
-
-    monkeypatch.setattr(graph, "cosine_matrix", counted_cosine_matrix)
     monkeypatch.setattr(summarize, "ngram_similarity", counted_similarity)
-    state = SelectionState(records, util.vectors_for(records))
+    state = util.state_for(records)
     budget = SummaryBudget("words", 10_000)
     for ranking in _random_rankings(rng, records, 20):
         select(records, ranking, budget, RedundancyConfig("AR1"), state)
         select(records, ranking, budget, RedundancyConfig("AR2"), state)
-    assert calls["cosine_matrix"] == 1   # the threshold pool only
-    assert calls["ar2"]
-    assert len(calls["ar2"]) == len(set(calls["ar2"]))
+    assert calls
+    assert len(calls) == len(set(calls))
 
 
 def test_select_rejects_a_state_of_other_sentences():
@@ -245,7 +234,7 @@ def _greedy_by_any(sentences, ranking, budget, red, cosines):
             return cosines[pos[a.global_id], pos[b.global_id]] > l1
     elif red.method == "AR2":
         def redundant(a, b):
-            return ngram_similarity(a, b, red) > red.l2
+            return ngram_similarity(a, b) > AR2_THRESHOLD
     else:
         def redundant(a, b):
             return False
@@ -311,8 +300,7 @@ def selection_cases(draw):
                   st.builds(SummaryBudget, st.just("compression"),
                             st.sampled_from([0.1, 0.5, 0.9]))),
         st.sampled_from([RedundancyConfig(), RedundancyConfig("AR1"),
-                         RedundancyConfig("AR2"),
-                         RedundancyConfig("AR2", l2=0.3)])),
+                         RedundancyConfig("AR2")])),
         min_size=1, max_size=6))
     return records, cosines, calls
 

@@ -14,7 +14,9 @@ import numpy as np
 import netsumm
 from netsumm import from_edges
 from netsumm.centrality import CentralityResult, HIGHEST
+from netsumm.graph import cosine_matrix
 from netsumm.preprocess import SentenceRecord
+from netsumm.summarize import SelectionState
 from netsumm.tfidf import fit, vectorize
 
 WORDS = ("river", "flood", "rescue", "mayor", "storm", "bridge", "road",
@@ -111,6 +113,13 @@ def random_records(rng, n_docs=3, n_sentences=8, dup_pairs=1):
 def vectors_for(records):
     model = fit(records, len({r.doc_id for r in records}))
     return {r.global_id: vectorize(r, model) for r in records}
+
+
+def state_for(records):
+    """A SelectionState over records that holds their pairwise cosines, as
+    netsumm's own pipeline builds one."""
+    return SelectionState(records, cosine_matrix(
+        list(vectors_for(records).values())))
 
 
 def ranking_preferring(records, preferred, measure="dg"):
