@@ -29,7 +29,8 @@ from .preprocess import (LanguageResources, SentenceRecord, build_sentences,
                          load_resources, normalize, segment)
 from .summarize import (RedundancyConfig, SelectionState, Summary,
                         ar1_threshold, ngram_similarity, select)
-from .tfidf import SentenceVector, TfIdfModel, cosine, fit, vectorize
+from .tfidf import (ClusterVectors, SentenceVector, TfIdfModel, cosine, fit,
+                    vectorize, vectorize_all)
 
 __version__ = "0.1.0"
 

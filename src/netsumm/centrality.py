@@ -27,6 +27,7 @@ absT        mean absorption time                  r-thresholded
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -205,6 +206,15 @@ def pagerank(g: MultilayerGraph, weighted: bool) -> CentralityResult:
 MAX_SAW_WALKS = 1_000_000
 
 
+def check_h(h) -> None:
+    """Refuse a walk length or level depth that is not an integer >= 1; a
+    bool is not an integer here."""
+    if isinstance(h, bool) or not isinstance(h, numbers.Integral):
+        raise InvalidParameter(f"h must be an integer, got {h!r}")
+    if h < 1:
+        raise InvalidParameter(f"h must be >= 1, got {h}")
+
+
 def _check_walk_count(nbrs: list, starts, h: int) -> None:
     d_max = max(len(s) for s in nbrs)
     bound = sum(len(nbrs[s]) for s in starts) * max(d_max - 1, 0) ** (h - 1)
@@ -223,8 +233,7 @@ def saw_probabilities(g: MultilayerGraph, start: int, h: int) -> dict:
     raises InvalidParameter when the walk-count bound exceeds
     MAX_SAW_WALKS.
     """
-    if h < 1:
-        raise InvalidParameter(f"h must be >= 1, got {h}")
+    check_h(h)
     if h >= g.n_nodes:
         return {}  # a walk of h steps visits h + 1 distinct nodes
     nbrs = _neighbours(g)
@@ -265,10 +274,9 @@ def accessibility(g: MultilayerGraph, h: int) -> CentralityResult:
     A[j, k] / (d_j - 1) onwards, dropped where d_j = 1; zero the diagonal
     (the walk may not return to i) and renormalize each row. Larger h
     enumerates the walks from each node as saw_probabilities does.
-    Raises InvalidParameter for h < 1.
+    Raises InvalidParameter for an h that is not an integer >= 1.
     """
-    if h < 1:
-        raise InvalidParameter(f"h must be >= 1, got {h}")
+    check_h(h)
     n = g.n_nodes
     if h >= n:
         return CentralityResult("access", {i: 0.0 for i in range(n)}, HIGHEST)
@@ -384,8 +392,7 @@ def symmetry(g: MultilayerGraph, h: int) -> CentralityResult:
     All start nodes walk at once: row i of `level` (g.hops) and of `mass`
     is node i's.
     """
-    if h < 1:
-        raise InvalidParameter(f"h must be >= 1, got {h}")
+    check_h(h)
     a = (g.W > 0) * 1.0
     level = g.hops
     sizes = (level == h).sum(axis=1)

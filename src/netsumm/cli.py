@@ -266,7 +266,7 @@ def cmd_evaluate(merged: dict) -> int:
 
 def _write_edges(path: Path, g) -> None:
     lines = ["i,j,weight,kind"]
-    lines += [f"{e.u},{e.v},{e.weight:.10g},{e.kind}" for e in g.edges]
+    lines += [f"{u},{v},{w:.10g},{kind}" for u, v, w, kind in g.edge_rows()]
     evaluate.write_lines(path, lines)
 
 

@@ -54,8 +54,8 @@ def prepare_cluster(cluster: Cluster) -> PreparedCluster:
     res = preprocess.load_resources(cluster.language)
     records = preprocess.build_sentences(cluster, res)
     model = tfidf.fit(records, len(cluster.documents))
-    vectors = [tfidf.vectorize(rec, model) for rec in records]
-    base = graph.build(vectors, [rec.layer_index for rec in records])
+    base = graph.build(tfidf.vectorize_all(records, model),
+                       [rec.layer_index for rec in records])
     return PreparedCluster(records, base,
                            summarize.SelectionState(records, base.W))
 
@@ -179,8 +179,7 @@ class SweepGrid:
     def __post_init__(self):
         if not (self.alphas and self.rs and self.measures and self.ards):
             raise InvalidParameter("grid lists must be non-empty")
-        if self.h < 1:
-            raise InvalidParameter(f"h must be >= 1, got {self.h}")
+        centrality.check_h(self.h)
         if not all(math.isfinite(a) and a > 0 for a in self.alphas):
             raise InvalidParameter("alphas must be positive and finite")
         if any(not 0 <= r < 1 for r in self.rs):
@@ -435,12 +434,17 @@ def _average_correlations(matrices: list, grid: SweepGrid
 def write_lines(path, lines: list) -> None:
     """Write lines, each ended by a newline, to path as UTF-8 by way of a
     temp file in the same directory that replaces path when complete: a
-    failed write leaves the old file, if any, and no temp file behind."""
+    failed write leaves the old file, if any, and no temp file behind, and
+    raises NetsummError naming path."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
         os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise NetsummError(
+            f"cannot write {path}: {exc.strerror or exc}") from None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import starmap
 
 import numpy as np
 
+from . import tfidf
 from .errors import EmptyGraph, InvalidInput, InvalidParameter
-from .tfidf import cosine
 
 INTRA, INTER = "intra", "inter"
 
@@ -52,41 +52,38 @@ class MultilayerGraph:
         hops.flags.writeable = False
         return hops
 
+    def edge_rows(self):
+        """(u, v, weight, kind) of every edge as Python values, (u, v)
+        ascending with u < v; the rows of the CSV export."""
+        us, vs = np.nonzero(np.triu(self.W, 1))
+        kinds = np.where(self.layers[us] == self.layers[vs], INTRA, INTER)
+        return zip(us.tolist(), vs.tolist(), self.W[us, vs].tolist(),
+                   kinds.tolist())
+
     @property
     def edges(self) -> tuple:
-        """Read-only Edge view, (u, v) ascending with u < v; W holds the
-        graph, this view serves CSV export."""
-        us, vs = np.nonzero(np.triu(self.W, 1))
-        layer = self.layers.tolist()
-        return tuple(
-            Edge(u, v, w, INTRA if layer[u] == layer[v] else INTER)
-            for u, v, w in zip(us.tolist(), vs.tolist(),
-                               self.W[us, vs].tolist()))
+        """Read-only Edge view of edge_rows; W holds the graph."""
+        return tuple(starmap(Edge, self.edge_rows()))
 
 
-def cosine_matrix(vectors: list) -> np.ndarray:
-    """Pairwise tfidf.cosine of vectors, zero diagonal, bit for bit.
+def cosine_matrix(vectors: tfidf.ClusterVectors) -> np.ndarray:
+    """Pairwise tfidf.cosine of the vectors, zero diagonal, bit for bit.
 
     The dot products come from the per-term postings: each term pairs every
-    two sentences that hold it, and np.bincount sums each pair's term
-    products from 0.0 in posting order. Each product is rounded as cosine's
-    fsum rounds it, so a pair sharing one term gets that product exactly,
-    and a pair sharing two gets one IEEE add, correctly rounded in either
-    order. The few pairs sharing three or more go through cosine itself.
+    two sentences that hold it. np.bincount sums each pair's term products
+    from 0.0 in posting order, which is cosine's correctly rounded fsum for
+    a pair sharing one or two terms; a pair sharing three or more gets
+    math.fsum of its products. Only the pairs that share a term are
+    divided by their norms.
     """
-    n = len(vectors)
-    maps = [v.weights for v in vectors]
-    sizes = list(map(len, maps))
-    total = sum(sizes)
-    terms = np.fromiter(chain.from_iterable(maps), np.int64, total)
-    weights = np.fromiter(chain.from_iterable(map(dict.values, maps)),
-                          np.float64, total)
-    if (weights <= 0).any():
+    n = len(vectors.norms)
+    if (vectors.weight <= 0).any():
         raise InvalidInput("tf-idf weights must be positive")
     # postings: entries grouped by term, sentences ascending within a term
-    order = np.argsort(terms, kind="stable")
-    terms, weights = terms[order], weights[order]
-    sentence = np.repeat(np.arange(n), sizes)[order]
+    order = np.argsort(vectors.term, kind="stable")
+    terms, weights = vectors.term[order], vectors.weight[order]
+    sentence = vectors.sentence[order]
+    total = len(terms)
     starts = np.flatnonzero(np.diff(terms, prepend=-1))
     ends = np.append(starts[1:], total)
     # each entry pairs with the entries after it in its posting
@@ -95,26 +92,37 @@ def cosine_matrix(vectors: list) -> np.ndarray:
     offset = np.arange(len(first)) - np.repeat(np.cumsum(later) - later,
                                                later)
     second = first + 1 + offset
+    # key u * n + v, u < v: row u, column v of the upper triangle
     keys = sentence[first] * n + sentence[second]
-    # row u, column v > u: the pair's dot product and its shared term count
-    dots = np.bincount(keys, weights[first] * weights[second], n * n)
-    shared = np.bincount(keys, minlength=n * n).reshape(n, n)
-    # a zero vector holds no term, so its row of dots is 0 whatever its norm
-    norms = np.array([v.norm or 1.0 for v in vectors])
-    w = dots.reshape(n, n) / np.outer(norms, norms)
-    np.minimum(w, 1.0, out=w)
-    for u, v in np.argwhere(shared >= 3).tolist():
-        w[u, v] = cosine(vectors[u], vectors[v])
-    return w + w.T
+    products = weights[first] * weights[second]
+    shared = np.bincount(keys, minlength=n * n)
+    pairs = np.flatnonzero(shared > 0)
+    dots = np.bincount(keys, products, n * n)[pairs]
+    many = shared[pairs] >= 3
+    if many.any():
+        # their products grouped by pair, pairs in key order as in `pairs`
+        held = np.flatnonzero(shared[keys] >= 3)
+        held = products[held[np.argsort(keys[held], kind="stable")]].tolist()
+        stops = np.cumsum(shared[pairs[many]]).tolist()
+        dots[many] = [math.fsum(held[a:b])
+                      for a, b in zip([0] + stops, stops)]
+    u, v = np.divmod(pairs, n)
+    w = np.zeros((n, n))
+    w[u, v] = w[v, u] = np.minimum(
+        dots / (vectors.norms[u] * vectors.norms[v]), 1.0)
+    return w
 
 
-def build(vectors: list, layers) -> MultilayerGraph:
+def build(vectors, layers) -> MultilayerGraph:
     """Connect every sentence pair with cosine > 0.
 
-    vectors: SentenceVectors indexed by position; node i is vectors[i].
+    vectors: a tfidf.ClusterVectors, or SentenceVectors indexed by
+    position; node i is vectors[i].
     layers: mapping or sequence giving each sentence's layer index.
     """
-    n = len(vectors)
+    if not isinstance(vectors, tfidf.ClusterVectors):
+        vectors = tfidf.stack(vectors)
+    n = len(vectors.norms)
     layer_of = [layers[i] for i in range(n)]
     if n < 2 or len(set(layer_of)) < 2:
         raise InvalidInput(
@@ -144,9 +152,12 @@ def from_edges(n_nodes: int, layer_of, edge_tuples, weighted=True
 def apply_alpha(g: MultilayerGraph, alpha: float) -> MultilayerGraph:
     """Scale inter-layer weights by alpha; intra weights pass through
     as-is. An alpha so small that a scaled weight underflows to 0, which
-    would drop its edge, is refused."""
+    would drop its edge, is refused. Alpha 1 returns g itself, since
+    x * 1.0 == x and graphs are immutable."""
     if not (math.isfinite(alpha) and alpha > 0):
         raise InvalidParameter(f"alpha must be finite and > 0, got {alpha}")
+    if alpha == 1.0:
+        return g
     inter = g.layers[:, None] != g.layers[None, :]
     w = np.where(inter, g.W * alpha, g.W)
     if np.count_nonzero(w) != np.count_nonzero(g.W):
@@ -163,15 +174,21 @@ def remove_weakest(g: MultilayerGraph, r: float) -> MultilayerGraph:
         raise InvalidInput("remove_weakest expects a weighted graph")
     if not 0 <= r < 1:
         raise InvalidParameter(f"r must be in [0, 1), got {r}")
-    us, vs = np.nonzero(np.triu(g.W, 1))
-    weights = g.W[us, vs]
+    upper = np.triu(g.W, 1)
+    present = upper > 0
+    weights = upper[present]   # row-major, so in (u, v) order
     # epsilon guards products like 0.3 * 10 that land just below an integer
     k = math.floor(r * len(weights) + 1e-9)
-    # the pairs come in (u, v) order, which a stable sort keeps among ties
-    drop = np.argsort(weights, kind="stable")[:k]
-    w = g.W.copy()
-    w[us[drop], vs[drop]] = w[vs[drop], us[drop]] = 0.0
-    return MultilayerGraph(w, g.layers, weighted=False)
+    if not k:
+        return MultilayerGraph(g.W, g.layers, weighted=False)
+    # every weight below the k-th smallest goes, then the first of its ties
+    # in (u, v) order: the cut of a stable sort, with no sort
+    kth = np.partition(weights, k - 1)[k - 1]
+    drop = present & (upper < kth)
+    ties = np.flatnonzero(upper == kth)
+    drop.flat[ties[:k - np.count_nonzero(drop)]] = True
+    drop |= drop.T
+    return MultilayerGraph(np.where(drop, 0.0, g.W), g.layers, weighted=False)
 
 
 def _hop_matrix(adjacency: np.ndarray) -> np.ndarray:

@@ -172,20 +172,37 @@ def segment(raw_text: str) -> list:
     return sentences
 
 
+def _form(token: str, res: LanguageResources) -> str:
+    """The normalized form of one folded token, or "" when it is dropped."""
+    if _NUMERIC_RE.fullmatch(token) or token in res.stopwords:
+        return ""
+    mapped = _stable_form(token, res.lemma_map)
+    if mapped in res.stopwords or _NUMERIC_RE.fullmatch(mapped):
+        return ""
+    return mapped
+
+
+class _Forms(dict):
+    """Folded token -> its normalized form, "" when it is dropped. A token
+    is mapped on its first lookup, so each distinct token is mapped once
+    for as long as the dict lives."""
+
+    def __init__(self, res: LanguageResources):
+        super().__init__()
+        self.res = res
+
+    def __missing__(self, token: str) -> str:
+        form = self[token] = _form(token, self.res)
+        return form
+
+    def content(self, sentence: str) -> list:
+        return list(filter(None, map(self.__getitem__,
+                                     _TOKEN_RE.findall(fold(sentence)))))
+
+
 def normalize(sentence: str, res: LanguageResources) -> list:
-    out = []
-    for token in _TOKEN_RE.findall(fold(sentence)):
-        if _NUMERIC_RE.fullmatch(token):
-            continue
-        if token in res.stopwords:
-            continue
-        mapped = _stable_form(token, res.lemma_map)
-        if not mapped or mapped in res.stopwords:
-            continue
-        if _NUMERIC_RE.fullmatch(mapped):
-            continue
-        out.append(mapped)
-    return out
+    """The sentence's content tokens in order, in normalized form."""
+    return _Forms(res).content(sentence)
 
 
 def build_sentences(cluster: Cluster, res: LanguageResources) -> list:
@@ -193,13 +210,15 @@ def build_sentences(cluster: Cluster, res: LanguageResources) -> list:
 
     Returns SentenceRecords with global_id increasing in (layer_index,
     position_in_doc) order. Raises DegenerateCluster when no sentence
-    carries any content token.
+    carries any content token. Each distinct token is normalized once per
+    call.
     """
+    forms = _Forms(res)
     records = []
     global_id = 0
     for doc in cluster.documents:
         for position, sentence in enumerate(segment(doc.raw_text)):
-            tokens = tuple(normalize(sentence, res))
+            tokens = tuple(forms.content(sentence))
             records.append(SentenceRecord(
                 global_id, doc.id, doc.layer_index, position,
                 sentence, tokens))

@@ -3,6 +3,9 @@
 tf is the within-sentence relative frequency; idf = ln(n_docs / df) + 1
 where df counts the distinct documents of the cluster containing the term.
 Since df <= n_docs, idf >= 1 and all weights are non-negative.
+
+A cluster's vectors are computed together, as flat arrays (ClusterVectors);
+vectorize is the one-sentence case of the same computation.
 """
 
 from __future__ import annotations
@@ -10,6 +13,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .errors import DegenerateCluster
 from .preprocess import SentenceRecord
@@ -34,30 +40,97 @@ class SentenceVector:
 
 def fit(sentences: list, n_docs: int) -> TfIdfModel:
     """Build vocabulary and document frequencies from one cluster."""
-    term_docs = {}
+    doc_terms = {}
     for rec in sentences:
-        for token in rec.tokens:
-            term_docs.setdefault(token, set()).add(rec.doc_id)
-    if not term_docs:
+        doc_terms.setdefault(rec.doc_id, set()).update(rec.tokens)
+    doc_freq = Counter(chain.from_iterable(doc_terms.values()))
+    if not doc_freq:
         raise DegenerateCluster("no terms: cannot fit a tf-idf model")
-    vocabulary = {term: idx for idx, term in enumerate(sorted(term_docs))}
-    doc_freq = {term: len(docs) for term, docs in term_docs.items()}
-    return TfIdfModel(vocabulary, doc_freq, n_docs)
+    vocabulary = {term: idx for idx, term in enumerate(sorted(doc_freq))}
+    return TfIdfModel(vocabulary, dict(doc_freq), n_docs)
+
+
+@dataclass(frozen=True)
+class ClusterVectors:
+    """The sparse tf-idf vectors of a list of sentences, as flat arrays.
+
+    Entry k is the weight `weight[k]` of vocabulary index `term[k]` in
+    sentence `sentence[k]` (a position in the list). Entries run sentence
+    by sentence, and within a sentence in the order its terms first occur,
+    the key order of SentenceVector.weights. norms[i] is sentence i's norm.
+    """
+
+    sentence: np.ndarray
+    term: np.ndarray
+    weight: np.ndarray
+    norms: np.ndarray
+
+
+def vectorize_all(sentences: list, model: TfIdfModel) -> ClusterVectors:
+    """The tf-idf vector of every sentence: each term of a sentence with
+    `size` tokens weighs (count / size) * idf. Terms outside the model's
+    vocabulary get no entry but count in size; a sentence without tokens
+    is the zero vector.
+
+    Each norm adds its squares from 0 in entry order, one column of
+    entries at a time, as a sequential sum over the weights would.
+    """
+    vocab = model.vocabulary
+    sizes = [len(rec.tokens) for rec in sentences]
+    tokens = list(chain.from_iterable(rec.tokens for rec in sentences))
+    # each distinct token and its index, in first-occurrence order
+    local = dict(zip(dict.fromkeys(tokens), range(len(tokens))))
+    ids = np.fromiter(map(local.__getitem__, tokens), np.int64, len(tokens))
+    term_of = np.array([vocab.get(t, -1) for t in local], dtype=np.int64)
+    idf_of = np.array([model.idf(t) if t in vocab else 0.0 for t in local])
+    width = max(len(local), 1)
+    owner = np.repeat(np.arange(len(sentences)), sizes)
+    keys, first, counts = np.unique(owner * width + ids, return_index=True,
+                                    return_counts=True)
+    order = np.argsort(first)
+    sentence, ids = np.divmod(keys[order], width)
+    known = term_of[ids] >= 0
+    sentence, ids = sentence[known], ids[known]
+    weight = (counts[order][known] / np.asarray(sizes)[sentence]) \
+        * idf_of[ids]
+    return ClusterVectors(sentence, term_of[ids], weight,
+                          _norms(sentence, weight, len(sentences)))
+
+
+def _norms(sentence: np.ndarray, weight: np.ndarray, n: int) -> np.ndarray:
+    """Per sentence, sqrt of its squared weights summed in entry order."""
+    lengths = np.bincount(sentence, minlength=n)
+    position = np.arange(len(sentence)) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths)
+    # row j holds each sentence's j-th square, or 0 past its last entry
+    squares = np.zeros((lengths.max(initial=0), n))
+    squares[position, sentence] = weight * weight
+    total = np.zeros(n)
+    for row in squares:
+        total += row
+    return np.sqrt(total)
+
+
+def stack(vectors: list) -> ClusterVectors:
+    """SentenceVectors, node i = vectors[i], as one ClusterVectors."""
+    maps = [v.weights for v in vectors]
+    sizes = list(map(len, maps))
+    total = sum(sizes)
+    return ClusterVectors(
+        np.repeat(np.arange(len(maps)), sizes),
+        np.fromiter(chain.from_iterable(maps), np.int64, total),
+        np.fromiter(chain.from_iterable(map(dict.values, maps)), np.float64,
+                    total),
+        np.array([v.norm for v in vectors], dtype=float))
 
 
 def vectorize(sentence: SentenceRecord, model: TfIdfModel) -> SentenceVector:
-    """Sparse tf-idf vector; empty-token sentences map to the zero vector."""
-    if not sentence.tokens:
-        return SentenceVector(sentence.global_id, {}, 0.0)
-    counts = Counter(sentence.tokens)
-    size = len(sentence.tokens)
-    weights = {}
-    for term, count in counts.items():
-        if term not in model.vocabulary:
-            continue
-        weights[model.vocabulary[term]] = (count / size) * model.idf(term)
-    norm = math.sqrt(sum(w * w for w in weights.values()))
-    return SentenceVector(sentence.global_id, weights, norm)
+    """Sparse tf-idf vector of one sentence, as vectorize_all computes it;
+    empty-token sentences map to the zero vector."""
+    one = vectorize_all([sentence], model)
+    return SentenceVector(sentence.global_id,
+                          dict(zip(one.term.tolist(), one.weight.tolist())),
+                          one.norms.tolist()[0])
 
 
 def cosine(a: SentenceVector, b: SentenceVector) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -303,6 +304,22 @@ def dense_cosine_matrix(token_lists: list, doc_of: list) -> np.ndarray:
     return sim
 
 
+def tfidf_vector(tokens: tuple, vocabulary: dict, doc_freq: dict,
+                 n_docs: int) -> tuple:
+    """(weights, norm) of one sentence, term by term: weights maps each
+    vocabulary term's index, in the order the term first occurs, to
+    (count / len(tokens)) * (ln(n_docs / df) + 1); norm is the square root
+    of the squared weights summed one by one in that order."""
+    if not tokens:
+        return {}, 0.0
+    weights = {}
+    for term, count in Counter(tokens).items():
+        if term in vocabulary:
+            idf = math.log(n_docs / doc_freq[term]) + 1.0
+            weights[vocabulary[term]] = (count / len(tokens)) * idf
+    return weights, math.sqrt(sum(w * w for w in weights.values()))
+
+
 # ---------------------------------------------------------------------------
 # weakest-edge cut (sort a copy, cut, return surviving index set)
 
@@ -314,6 +331,15 @@ def sort_and_cut(items: list, r: float) -> set:
     k = int(Fraction(str(r)) * len(items))
     ordered = sorted(items, key=lambda kv: (kv[1], kv[0]))
     return {key for key, _ in ordered[k:]}
+
+
+def stable_sort_cut(triples: list, r: float) -> set:
+    """triples: (u, v, weight) in (u, v) order. The (u, v) pairs left after
+    dropping the first floor(r * len) of a stable argsort of the weights,
+    so ties go in (u, v) order; the floor is taken on the exact decimal r."""
+    k = int(Fraction(str(r)) * len(triples))
+    order = np.argsort([w for _, _, w in triples], kind="stable")
+    return {triples[i][:2] for i in order[k:].tolist()}
 
 
 # ---------------------------------------------------------------------------

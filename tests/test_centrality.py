@@ -178,6 +178,14 @@ def test_accessibility_rejects_h_below_one(h):
         accessibility(CYCLE4, h)
 
 
+@pytest.mark.parametrize("measure", [accessibility, symmetry])
+@pytest.mark.parametrize("h", [2.5, 2.0, True])
+def test_walk_measures_refuse_a_non_integer_h(measure, h):
+    with pytest.raises(InvalidParameter,
+                       match=f"h must be an integer, got {h!r}"):
+        measure(CYCLE4, h)
+
+
 def test_saw_matches_exact_enumeration():
     rng = np.random.default_rng(17)
     for _ in range(40):

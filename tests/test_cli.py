@@ -570,6 +570,28 @@ def test_out_naming_a_file_exits_1_with_one_error_line(
     assert taken.read_text("utf-8") == "a file\n"
 
 
+def _refuse(*args, **kwargs):
+    raise PermissionError(13, "Permission denied")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("summarize", ["--dump-graph"]), ("evaluate", ["--jobs", "1"])])
+@pytest.mark.parametrize("call", ["write_text", "mkdir"])
+def test_a_refused_write_exits_1_with_one_error_line(
+        toy_path, tmp_path, capsys, monkeypatch, command, flags, call):
+    # mode bits do not stop root, so the refusal is patched in
+    out = tmp_path / "out"
+    monkeypatch.setattr(Path, call, _refuse)
+    assert main([command, "--corpus", str(toy_path), "--out", str(out)]
+                + flags) == 1
+    err = capsys.readouterr().err
+    what = "write" if call == "write_text" else "create output directory"
+    assert err.startswith(f"error: cannot {what} {out}")
+    assert err.endswith(": Permission denied\n")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_underflowing_alpha_exits_1_before_writing(toy_path, tmp_path,
                                                    capsys):
     out = tmp_path / "out"

@@ -195,6 +195,10 @@ def test_sweep_grid_validation():
             SweepGrid(**bad)
     with pytest.raises(InvalidParameter, match="h must be >= 1, got 0"):
         SweepGrid(h=0)
+    for h in (2.5, True):
+        with pytest.raises(InvalidParameter,
+                           match=f"h must be an integer, got {h!r}"):
+            SweepGrid(h=h)
     with pytest.raises(InvalidParameter, match="--alpha lists 1"):
         SweepGrid(alphas=(1.0, 1))
 

@@ -11,7 +11,7 @@ from netsumm.graph import (INTER, INTRA, apply_alpha, build,
                            connected_components, cosine_matrix, from_edges,
                            remove_weakest)
 from netsumm.preprocess import SentenceRecord
-from netsumm.tfidf import SentenceVector, cosine, fit, vectorize
+from netsumm.tfidf import SentenceVector, cosine, fit, stack, vectorize
 
 
 def _vectors(token_lists, doc_of):
@@ -76,7 +76,7 @@ def test_cosine_matrix_is_bitwise_tfidf_cosine():
                 want[i, j] = want[j, i] = cosine(vectors[i], vectors[j])
                 shared.append(len(vectors[i].weights.keys()
                                   & vectors[j].weights.keys()))
-        got = cosine_matrix(vectors)
+        got = cosine_matrix(stack(vectors))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert {0, 1, 2, 3} <= set(shared)
         assert any(not v.weights for v in vectors)
@@ -86,7 +86,7 @@ def test_cosine_matrix_rejects_non_positive_weights():
     vectors = [SentenceVector(0, {0: 1.0}, 1.0),
                SentenceVector(1, {0: -1.0}, 1.0)]
     with pytest.raises(InvalidInput):
-        cosine_matrix(vectors)
+        cosine_matrix(stack(vectors))
 
 
 def test_from_edges_kind_derivation_and_ordering():
@@ -174,6 +174,25 @@ def test_remove_weakest_cuts_many_ties_in_pair_order():
     for r in (0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9):
         keep = oracles.sort_and_cut([((i, j), w) for i, j, w in triples], r)
         assert {(e.u, e.v) for e in remove_weakest(g, r).edges} == keep
+
+
+def test_remove_weakest_matches_a_stable_sort_on_exact_ties():
+    # weights from a few values, so every cut falls inside a run of ties
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        n = int(rng.integers(4, 16))
+        values = rng.random(int(rng.integers(1, 4)))
+        triples = [(i, j, float(rng.choice(values)))
+                   for i, j, _ in util.random_edge_triples(rng, n, p=0.6)]
+        if not triples:
+            continue
+        g = from_edges(n, [k % 2 for k in range(n)], triples)
+        for r in [k / 20 for k in range(20)]:
+            out = remove_weakest(g, r)
+            kept = {(e.u, e.v): e.weight for e in out.edges}
+            assert kept.keys() == oracles.stable_sort_cut(triples, r)
+            assert all(kept[i, j] == w for i, j, w in triples
+                       if (i, j) in kept)
 
 
 def test_remove_weakest_r_zero_flags_unweighted():

@@ -15,13 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from netsumm import preprocess
 from netsumm.centrality import StochasticMatrix, saw_probabilities
-from netsumm.corpus import SummaryBudget
-from netsumm.errors import EmptySummary
+from netsumm.corpus import Cluster, Document, SummaryBudget
+from netsumm.errors import DegenerateCluster, EmptySummary
 from netsumm.evaluate import (AGGREGATES, RougeReferences,
                               rouge1_recall, rouge_tokens)
 from netsumm.graph import INTER, INTRA, apply_alpha, from_edges, remove_weakest
-from netsumm.preprocess import (SentenceRecord, fold, load_resources,
+from netsumm.preprocess import (LanguageResources, SentenceRecord,
+                                build_sentences, fold, load_resources,
                                 normalize, segment, stem)
 from netsumm.summarize import RedundancyConfig, select, word_count
 from netsumm.tfidf import cosine, fit, vectorize
@@ -49,6 +51,40 @@ def test_fold_is_idempotent(text):
 def test_normalize_is_idempotent(text):
     once = normalize(text, EN)
     assert normalize(" ".join(once), EN) == once
+
+
+# stopwords, a lemma chain (brazils -> brazil -> brasil), lemmas onto a
+# stopword, a number and nothing, and words the stemmer changes
+CHAINS = LanguageResources("en", frozenset({"the", "be", "of"}), {
+    "brazil": "brasil", "was": "be", "mice": "mouse", "one": "1",
+    "blank": "", "went": "go"})
+VOCAB = ("The", "the", "of", "was", "be", "brazils", "Brazil", "brasil",
+         "mice", "one", "blank", "went", "go", "42", "a1", "floods", "flood",
+         "cities", "Água", "x")
+docs = st.lists(st.lists(
+    st.tuples(st.sampled_from(VOCAB), st.sampled_from((" ", ". ", "! "))),
+    max_size=25), min_size=1, max_size=4)
+
+
+@given(docs)
+def test_build_sentences_maps_each_sentence_as_normalize_does(texts):
+    texts = ["".join(w + sep for w, sep in doc) for doc in texts]
+    cluster = Cluster("c", tuple(Document(f"d{i}", t, i)
+                                 for i, t in enumerate(texts)),
+                      (), SummaryBudget("words", 10))
+    want = [(i, k, s, tuple(normalize(s, CHAINS)))
+            for i, t in enumerate(texts) for k, s in enumerate(segment(t))]
+    for *_, s, tokens in want:   # normalize applies the rule token by token
+        assert tokens == tuple(filter(None, (
+            preprocess._form(t, CHAINS)
+            for t in preprocess._TOKEN_RE.findall(fold(s)))))
+    try:
+        records = build_sentences(cluster, CHAINS)
+    except DegenerateCluster:
+        assert not any(tokens for *_, tokens in want)
+        return
+    assert [(r.layer_index, r.position_in_doc, r.raw_text, r.tokens)
+            for r in records] == want
 
 
 @given(texts)

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from netsumm.errors import DegenerateCluster
 from netsumm.preprocess import SentenceRecord
-from netsumm.tfidf import cosine, fit, vectorize
+from netsumm.tfidf import cosine, fit, vectorize, vectorize_all
 
 
 def rec(gid, doc, tokens):
@@ -97,3 +97,39 @@ def test_cosine_matches_dense_oracle():
             for j in range(len(records)):
                 assert cosine(vs[i], vs[j]) == pytest.approx(
                     min(1.0, want[i, j]), abs=1e-9)
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_vectorize_all_is_bitwise_the_per_sentence_referee():
+    rng = np.random.default_rng(23)
+    pool = ["w%d" % k for k in range(40)]
+    for _ in range(30):
+        records = []
+        for gid in range(int(rng.integers(1, 30))):
+            # repeated terms, and some sentences without tokens
+            toks = [pool[int(j)] for j in
+                    rng.integers(0, len(pool), int(rng.integers(0, 25)))]
+            doc = int(rng.integers(0, 4))
+            records.append(rec(gid, f"d{doc}", toks))
+        if not any(r.tokens for r in records):
+            continue
+        model = fit(records, 4)
+        # terms the model never saw count in a sentence's size only
+        records.append(rec(len(records), "d0", ["zz", pool[0], "zz"]))
+        got = vectorize_all(records, model)
+        for i, r in enumerate(records):
+            weights, norm = oracles.tfidf_vector(
+                r.tokens, model.vocabulary, model.doc_freq, model.n_docs)
+            mine = got.sentence == i
+            assert got.term[mine].tolist() == list(weights)
+            assert _bits(got.weight[mine]) == _bits(list(weights.values()))
+            assert _bits([got.norms[i]]) == _bits([norm])
+            one = vectorize(r, model)
+            assert list(one.weights) == list(weights)
+            assert _bits(list(one.weights.values())) == _bits(
+                list(weights.values()))
+            assert _bits([one.norm]) == _bits([norm])
+

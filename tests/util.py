@@ -17,7 +17,7 @@ from netsumm.centrality import CentralityResult, HIGHEST
 from netsumm.graph import cosine_matrix
 from netsumm.preprocess import SentenceRecord
 from netsumm.summarize import SelectionState
-from netsumm.tfidf import fit, vectorize
+from netsumm.tfidf import fit, stack, vectorize
 
 WORDS = ("river", "flood", "rescue", "mayor", "storm", "bridge", "road",
          "school", "crew", "boat", "house", "rain", "water", "night",
@@ -119,7 +119,7 @@ def state_for(records):
     """A SelectionState over records that holds their pairwise cosines, as
     netsumm's own pipeline builds one."""
     return SelectionState(records, cosine_matrix(
-        list(vectors_for(records).values())))
+        stack(list(vectors_for(records).values()))))
 
 
 def ranking_preferring(records, preferred, measure="dg"):
