@@ -1,9 +1,10 @@
 """Node centrality measures over multilayer sentence graphs.
 
-Each measure returns a CentralityResult holding one score per node and the
-direction in which higher rank means "more central" (summaries take the top
-of the resulting order). The walk-based measures access, sym and sym_low
-read a walk length or level depth h (default 2).
+Each measure returns a CentralityResult: its scores, a read-only float64
+array indexed by node, and the direction in which higher rank means "more
+central" (summaries take the top of the resulting order). The walk-based
+measures access, sym and sym_low read a walk length or level depth h
+(default 2).
 
 Measure ids and their graph pairing:
 
@@ -43,23 +44,30 @@ UNWEIGHTED_MEASURES = ("dg", "pr", "sp", "access", "gAccess", "absT")
 ALL_MEASURES = WEIGHTED_MEASURES + UNWEIGHTED_MEASURES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentralityResult:
     measure: str
-    scores: dict
+    scores: np.ndarray  # scores[i] is node i's; kept as a read-only copy
     direction: str
 
+    def __post_init__(self):
+        scores = np.array(self.scores, dtype=np.float64)
+        scores.flags.writeable = False
+        object.__setattr__(self, "scores", scores)
+
     @cached_property
-    def snapped(self) -> dict:
+    def snapped(self) -> np.ndarray:
         """The scores rounded to 12 significant digits, which every reader
         of score order ranks on: values that differ only by float summation
-        order compare equal."""
-        return {v: float(f"{x:.12g}") for v, x in self.scores.items()}
+        order compare equal. Read-only."""
+        snapped = np.array([float(f"{x:.12g}") for x in self.scores.tolist()])
+        snapped.flags.writeable = False
+        return snapped
 
     def ranked(self) -> list:
         """Node ids best-first; equal snapped scores keep node-id order."""
         sign = -1.0 if self.direction == HIGHEST else 1.0
-        return sorted(self.snapped, key=lambda v: (sign * self.snapped[v], v))
+        return np.argsort(sign * self.snapped, kind="stable").tolist()
 
 
 # PageRank's damping; its power iteration stops when an iterate moves less
@@ -118,14 +126,11 @@ def _row_diversity(rows: np.ndarray) -> np.ndarray:
 # static measures
 
 def degree(g: MultilayerGraph) -> CentralityResult:
-    degs = (g.W > 0).sum(axis=1)
-    return CentralityResult("dg", dict(enumerate(degs.astype(float).tolist())),
-                            HIGHEST)
+    return CentralityResult("dg", (g.W > 0).sum(axis=1), HIGHEST)
 
 
 def strength(g: MultilayerGraph) -> CentralityResult:
-    sums = _weights(g).sum(axis=1)
-    return CentralityResult("stg", dict(enumerate(sums.tolist())), HIGHEST)
+    return CentralityResult("stg", _weights(g).sum(axis=1), HIGHEST)
 
 
 def avg_shortest_path(g: MultilayerGraph, weighted: bool) -> CentralityResult:
@@ -142,7 +147,7 @@ def avg_shortest_path(g: MultilayerGraph, weighted: bool) -> CentralityResult:
     n = g.n_nodes
     measure = "sp_w" if weighted else "sp"
     if n < 2:
-        return CentralityResult(measure, {i: 0.0 for i in range(n)}, LOWEST)
+        return CentralityResult(measure, np.zeros(n), LOWEST)
     try:
         # a finite length or sum that overflows to inf raises, where an
         # unreachable pair's inf does not
@@ -162,7 +167,7 @@ def avg_shortest_path(g: MultilayerGraph, weighted: bool) -> CentralityResult:
             penalty = (float(finite.max()) if finite.size else 0.0) + 1.0
             filled = np.where(np.isfinite(dist), dist, penalty)
             np.fill_diagonal(filled, 0.0)
-            scores = {i: float(filled[i].sum()) / (n - 1) for i in range(n)}
+            scores = filled.sum(axis=1) / (n - 1)
     except FloatingPointError:
         raise InvalidParameter(
             f"{measure}: a path length overflows the float range; the "
@@ -194,8 +199,7 @@ def pagerank(g: MultilayerGraph, weighted: bool) -> CentralityResult:
         raise ConvergenceError("PageRank power iteration did not converge",
                                PAGERANK_MAX_ITERATIONS)
     measure = "pr_w" if weighted else "pr"
-    return CentralityResult(measure, {i: float(pi[i]) for i in range(n)},
-                            HIGHEST)
+    return CentralityResult(measure, pi, HIGHEST)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +283,7 @@ def accessibility(g: MultilayerGraph, h: int) -> CentralityResult:
     check_h(h)
     n = g.n_nodes
     if h >= n:
-        return CentralityResult("access", {i: 0.0 for i in range(n)}, HIGHEST)
+        return CentralityResult("access", np.zeros(n), HIGHEST)
     if h > 2:
         nbrs = _neighbours(g)
         _check_walk_count(nbrs, range(n), h)
@@ -298,8 +302,7 @@ def accessibility(g: MultilayerGraph, h: int) -> CentralityResult:
         totals = mass.sum(axis=1, keepdims=True)
         rows = np.divide(mass, totals, out=np.zeros_like(mass),
                          where=totals > 0)
-    return CentralityResult("access", dict(enumerate(
-        _row_diversity(rows).tolist())), HIGHEST)
+    return CentralityResult("access", _row_diversity(rows), HIGHEST)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +374,7 @@ def generalized_accessibility(g: MultilayerGraph) -> CentralityResult:
     """
     p_inf = all_lengths_matrix(StochasticMatrix.from_graph(g))
     scores = np.where(g.W.any(axis=1), _row_diversity(p_inf.p), -math.inf)
-    return CentralityResult("gAccess", dict(enumerate(scores.tolist())),
-                            HIGHEST)
+    return CentralityResult("gAccess", scores, HIGHEST)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +399,7 @@ def symmetry(g: MultilayerGraph, h: int) -> CentralityResult:
     level = g.hops
     sizes = (level == h).sum(axis=1)
     if not sizes.any():  # as when h >= n; the walk below has h < n steps
-        return CentralityResult("sym", dict.fromkeys(range(g.n_nodes), 0.0),
-                                HIGHEST)
+        return CentralityResult("sym", np.zeros(g.n_nodes), HIGHEST)
     mass = np.eye(g.n_nodes)
     for k in range(1, h + 1):
         ahead = (level == k) * 1.0
@@ -409,7 +410,7 @@ def symmetry(g: MultilayerGraph, h: int) -> CentralityResult:
     totals = mass.sum(axis=1, keepdims=True)  # 0 only where level h is empty
     diversity = _row_diversity(mass / np.where(totals > 0, totals, 1.0))
     scores = diversity / np.maximum(sizes, 1)
-    return CentralityResult("sym", dict(enumerate(scores.tolist())), HIGHEST)
+    return CentralityResult("sym", scores, HIGHEST)
 
 
 def sym_low_from(sym: CentralityResult) -> CentralityResult:
@@ -450,7 +451,7 @@ def absorption_time(g: MultilayerGraph) -> CentralityResult:
                 f"absorption system singular for component of node "
                 f"{comp[0]}") from None
         tau[comp] = (size * np.diag(z) - z.sum(axis=0)) / (pi * (size - 1))
-    return CentralityResult("absT", dict(enumerate(tau.tolist())), LOWEST)
+    return CentralityResult("absT", tau, LOWEST)
 
 
 # ---------------------------------------------------------------------------

@@ -280,10 +280,8 @@ def _write_sim(path: Path, prepared: evaluate.PreparedCluster) -> None:
 
 
 def _write_scores(path: Path, ranking) -> None:
-    lines = ["node,score"]
-    lines += [f"{node},{ranking.scores[node]:.10g}"
-              for node in sorted(ranking.scores)]
-    evaluate.write_lines(path, lines)
+    evaluate.write_lines(path, ["node,score"] + [
+        f"{node},{x:.10g}" for node, x in enumerate(ranking.scores.tolist())])
 
 
 def main(argv=None) -> int:

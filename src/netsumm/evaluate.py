@@ -39,8 +39,8 @@ AGGREGATES = ("mean", "max")
 class PreparedCluster:
     """What every (alpha, r, measure, ard) cell of one cluster starts from.
 
-    records[i] is node i of `base`; the base graph's W holds every pairwise
-    tf-idf cosine, which `state` reads for AR1.
+    records[i] is node i of `base` and has global_id i; the base graph's W
+    holds every pairwise tf-idf cosine, which `state` reads for AR1.
     """
 
     records: list
@@ -137,23 +137,19 @@ def spearman_matrix(results: list) -> CorrelationMatrix:
     """Tie-corrected Spearman rho between the measures' snapped score
     vectors (CentralityResult.snapped).
 
-    All results must cover the same node set. A constant vector has no
+    All results must have the same length. A constant vector has no
     ranking, so its pairs are NaN (missing), never 0; so are the pairs of a
     vector holding a NaN. Diagonal is 1. Each vector is ranked once, and
     each rho is the Pearson correlation of two rank vectors, computed as
     scipy's spearmanr computes it.
     """
     labels = tuple(res.measure for res in results)
-    nodes = sorted(results[0].scores) if results else []
-    for res in results:
-        if sorted(res.scores) != nodes:
-            raise InvalidParameter(
-                f"result {res.measure} covers a different node set")
+    if len({len(res.scores) for res in results}) > 1:
+        raise InvalidParameter("the results score different numbers of nodes")
     k = len(results)
     values = np.full((k, k), np.nan)
-    vectors = [np.array([res.snapped[v] for v in nodes]) for res in results]
     ranks = [None if np.all(x == x[0]) or np.isnan(x).any()
-             else _average_ranks(x) for x in vectors]
+             else _average_ranks(x) for x in (res.snapped for res in results)]
     for i in range(k):
         values[i, i] = 1.0
         for j in range(i + 1, k):
@@ -311,7 +307,6 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, aggregate: str
     else:
         # each sentence's count row; a summary's text joins its sentences
         # with spaces, so its row is the sum of theirs
-        row_of = {rec.global_id: k for k, rec in enumerate(prepared.records)}
         sentence_rows = np.array([references.counts(rouge_tokens(
             rec.raw_text)) for rec in prepared.records])
     scored = {}  # Summary.selected -> (its ROUGE-1 recall, note)
@@ -339,9 +334,9 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, aggregate: str
                 if references is None:
                     scored[selected] = unscorable
                 elif selected not in scored:
-                    rows = [row_of[gid] for gid in selected]
                     scored[selected] = (references.recall(
-                        sentence_rows[rows].sum(axis=0), aggregate), "")
+                        sentence_rows[list(selected)].sum(axis=0),
+                        aggregate), "")
                 cells[(measure, alpha, r, ard)] = scored[selected]
 
     labels = tuple(m for m in grid.measures if m != "sym_low")

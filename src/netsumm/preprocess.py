@@ -22,6 +22,7 @@ ABBREVIATIONS = frozenset({
     "mr", "mrs", "ms", "dr", "prof", "jr", "sr", "st", "vs", "etc", "fig",
     "eg", "ie", "inc", "ltd", "co", "corp", "approx", "no",
 })
+_ABBREVIATION_LOOKBACK = max(map(len, ABBREVIATIONS)) + 1  # letters
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _NUMERIC_RE = re.compile(r"[0-9]+")
@@ -137,10 +138,11 @@ def _is_boundary(text: str, start: int, end: int) -> bool:
         return False
     if text[start:end] == ".":
         # the run of letters ending at the period, or at a newline just
-        # before it, as the pattern [^\W\d_]+$ finds it in text[:start]
+        # before it, as [^\W\d_]+$ finds it in text[:start]; a run longer
+        # than any abbreviation is cut to one letter more
         stop = start - 1 if text[start - 1:start] == "\n" else start
-        begin = stop
-        while begin and _LETTER_RE.match(text, begin - 1):
+        begin, floor = stop, max(stop - _ABBREVIATION_LOOKBACK, 0)
+        while begin > floor and _LETTER_RE.match(text, begin - 1):
             begin -= 1
         if text[begin:stop].lower() in ABBREVIATIONS:
             return False
@@ -152,10 +154,10 @@ def segment(raw_text: str) -> list:
 
     A terminator ends a sentence when whitespace or the end of the text
     follows it, and a bare period also needs the word before it not to be
-    an abbreviation; that word is found by walking back from the period, so
-    the split takes time linear in the text's length. Each returned
-    segment keeps its terminator and has internal whitespace collapsed to
-    single spaces. Empty segments are dropped.
+    an abbreviation; that word is found by walking back from the period
+    over at most _ABBREVIATION_LOOKBACK letters. Each returned segment
+    keeps its terminator and has internal whitespace collapsed to single
+    spaces. Empty segments are dropped.
     """
     sentences = []
     begin = 0

@@ -104,8 +104,7 @@ class SelectionState:
 
     def __init__(self, sentences: list, cosines: np.ndarray | None = None):
         self.sentences = sentences
-        self._id_list = [rec.global_id for rec in sentences]
-        self._tie_keys = (np.array(self._id_list),
+        self._tie_keys = (np.array([rec.global_id for rec in sentences]),
                           np.array([rec.position_in_doc for rec in sentences]),
                           np.array([rec.layer_index for rec in sentences]))
         self.words = [word_count(rec.raw_text) for rec in sentences]
@@ -128,12 +127,10 @@ class SelectionState:
         return self._budgets[budget]
 
     def rank_order(self, ranking: CentralityResult) -> list:
-        """Sentence positions by snapped score; ties by (layer, position,
-        id)."""
+        """Sentence positions by snapped score (scores[k] is sentence k's);
+        ties by (layer, position, id)."""
         sign = -1.0 if ranking.direction == HIGHEST else 1.0
-        scores = np.fromiter(map(ranking.snapped.__getitem__, self._id_list),
-                             float, len(self._id_list))
-        return np.lexsort(self._tie_keys + (sign * scores,)).tolist()
+        return np.lexsort(self._tie_keys + (sign * ranking.snapped,)).tolist()
 
     def redundancy_rows(self, red: RedundancyConfig):
         """rows(k) -> the boolean row of sentences that `red` skips once
@@ -195,11 +192,16 @@ def select(sentences: list, ranking: CentralityResult, budget: SummaryBudget,
     shorter candidates may still fit; the scan stops once what is left of
     the budget is below the cheapest candidate's cost. Redundant
     candidates (per `red`) are skipped permanently. Empty-token sentences
-    are never selected. Raises EmptySummary when nothing fits.
+    are never selected. Raises EmptySummary when nothing fits, and
+    InvalidParameter when len(ranking.scores) != len(sentences).
 
     state: a SelectionState built for these sentences, which keeps what one
     call computes for the next; AR1 needs one that holds the cosines.
     """
+    n = len(ranking.scores)
+    if n != len(sentences):
+        raise InvalidParameter(
+            f"{ranking.measure} scores {n} nodes, not {len(sentences)}")
     if state is None:
         state = SelectionState(sentences)
     if state.sentences is not sentences:

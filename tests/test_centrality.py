@@ -19,6 +19,8 @@ from netsumm.errors import ConvergenceError, InvalidParameter
 from netsumm.evaluate import prepare_cluster
 from netsumm.graph import (MultilayerGraph, apply_alpha, build, from_edges,
                            remove_weakest)
+from netsumm.preprocess import SentenceRecord
+from netsumm.summarize import SelectionState
 
 PATH3 = from_edges(3, [0, 1, 0], [(0, 1, 0.5), (1, 2, 0.5)])
 STAR = from_edges(4, [0, 1, 1, 1], [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
@@ -34,20 +36,42 @@ def test_measure_registry_partition():
 
 
 def test_ranked_directions_and_ties():
-    res = CentralityResult("dg", {0: 1.0, 1: 3.0, 2: 1.0}, HIGHEST)
+    res = CentralityResult("dg", [1.0, 3.0, 1.0], HIGHEST)
     assert res.ranked() == [1, 0, 2]
-    res = CentralityResult("sp", {0: 1.0, 1: 3.0, 2: 1.0}, LOWEST)
+    res = CentralityResult("sp", [1.0, 3.0, 1.0], LOWEST)
     assert res.ranked() == [0, 2, 1]
     # scores equal to 12 significant digits tie; the raw scores stay
-    res = CentralityResult("sym", {0: 0.9999999999999999, 1: 1.0, 2: 0.5},
-                           HIGHEST)
+    res = CentralityResult("sym", [0.9999999999999999, 1.0, 0.5], HIGHEST)
     assert res.ranked() == [0, 1, 2]
-    assert res.snapped == {0: 1.0, 1: 1.0, 2: 0.5}
+    assert res.snapped.tolist() == [1.0, 1.0, 0.5]
     assert res.scores[0] < 1.0
     assert res.snapped is res.snapped  # computed once per result
-    res = CentralityResult("absT", {0: 28.181818181818155,
-                                    1: 28.181818181818127}, LOWEST)
+    res = CentralityResult("absT", [28.181818181818155, 28.181818181818127],
+                           LOWEST)
     assert res.ranked() == [0, 1]
+    # an infinite score is last in its direction: absT's singleton is +inf
+    # and gAccess's isolated node -inf
+    res = CentralityResult("absT", [math.inf, 2.0, 1.0, math.inf], LOWEST)
+    assert res.ranked() == [2, 1, 0, 3]
+    res = CentralityResult("gAccess", [-math.inf, 2.0, 1.0], HIGHEST)
+    assert res.ranked() == [1, 2, 0]
+    assert all(type(v) is int for v in res.ranked())
+
+
+def test_scores_and_snapped_are_read_only_copies():
+    source = np.array([1.0, 2.0, 3.0])
+    res = CentralityResult("dg", source, HIGHEST)
+    source[0] = 9.0
+    assert res.scores.tolist() == [1.0, 2.0, 3.0]
+    assert res.scores.dtype == np.float64
+    with pytest.raises(ValueError):
+        res.scores[0] = 5.0
+    with pytest.raises(ValueError):
+        res.snapped[0] = 5.0
+    # sym_low shares sym's scores, which neither result can write
+    low = centrality.sym_low_from(symmetry(PATH3, 2))
+    with pytest.raises(ValueError):
+        low.scores[1] = 5.0
 
 
 def test_stochastic_matrix_validation():
@@ -69,13 +93,13 @@ def test_from_graph_matches_oracle_and_isolated_rows():
 
 def test_degree_and_strength_small():
     res = degree(PATH3)
-    assert res.scores == {0: 1.0, 1: 2.0, 2: 1.0}
+    assert res.scores.tolist() == [1.0, 2.0, 1.0]
     assert res.direction == HIGHEST
     res = strength(PATH3)
-    assert res.scores == {0: 0.5, 1: 1.0, 2: 0.5}
+    assert res.scores.tolist() == [0.5, 1.0, 0.5]
     # unweighted graphs count edges instead
     res = strength(from_edges(2, [0, 1], [(0, 1, 0.3)], weighted=False))
-    assert res.scores == {0: 1.0, 1: 1.0}
+    assert res.scores.tolist() == [1.0, 1.0]
 
 
 def test_avg_shortest_path_penalty_for_unreachable():
@@ -108,15 +132,15 @@ def test_sp_w_takes_a_two_hop_path_shorter_than_the_direct_edge():
     # 0-2 directly has length 1/0.1 = 10; through 1 it is 2 + 2 = 4
     g = from_edges(3, [0, 1, 0], [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.1)])
     scores = _assert_sp_w_matches_oracle(g)
-    assert scores == {0: (2 + 4) / 2, 1: (2 + 2) / 2, 2: (4 + 2) / 2}
+    assert scores.tolist() == [(2 + 4) / 2, (2 + 2) / 2, (4 + 2) / 2]
 
 
 def test_sp_w_penalizes_a_disconnected_pair_with_d_max_plus_one():
     # components {0, 1} (length 2) and {2, 3} (length 4): D_max 4, penalty 5
     g = from_edges(4, [0, 1, 0, 1], [(0, 1, 0.5), (2, 3, 0.25)])
     scores = _assert_sp_w_matches_oracle(g)
-    assert scores == {0: (2 + 5 + 5) / 3, 1: (2 + 5 + 5) / 3,
-                      2: (5 + 5 + 4) / 3, 3: (5 + 5 + 4) / 3}
+    assert scores.tolist() == [(2 + 5 + 5) / 3, (2 + 5 + 5) / 3,
+                               (5 + 5 + 4) / 3, (5 + 5 + 4) / 3]
 
 
 def test_sp_w_isolated_node_pays_the_penalty_to_every_node():
@@ -210,12 +234,10 @@ def test_accessibility_closed_form_matches_exact_enumeration():
         adj = util.adjacency_dict(g)
         for h in (1, 2):
             got = accessibility(g, h).scores
-            want = {}
-            for i in range(g.n_nodes):
-                exact = oracles.saw_distribution_exact(adj, i, h)
-                want[i] = oracles.true_diversity(exact)
-            assert got.keys() == want.keys()
-            assert got == pytest.approx(want, rel=1e-14, abs=0)
+            want = [oracles.true_diversity(
+                oracles.saw_distribution_exact(adj, i, h))
+                for i in range(g.n_nodes)]
+            assert got.tolist() == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_accessibility_enumeration_matches_exact_enumeration():
@@ -226,11 +248,10 @@ def test_accessibility_enumeration_matches_exact_enumeration():
         adj = util.adjacency_dict(g)
         for h in (3, 4):
             got = accessibility(g, h).scores
-            want = {i: oracles.true_diversity(
+            want = [oracles.true_diversity(
                 oracles.saw_distribution_exact(adj, i, h))
-                for i in range(g.n_nodes)}
-            assert got.keys() == want.keys()
-            assert got == pytest.approx(want, rel=1e-12, abs=0)
+                for i in range(g.n_nodes)]
+            assert got.tolist() == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_accessibility_refuses_unbounded_h():
@@ -249,8 +270,8 @@ def test_accessibility_refuses_unbounded_h():
 def test_walks_longer_than_the_graph_score_zero():
     # a walk of h steps needs h + 1 distinct nodes
     assert saw_probabilities(CYCLE4, 0, 4) == {}
-    assert accessibility(CYCLE4, 4).scores == {i: 0.0 for i in range(4)}
-    assert symmetry(CYCLE4, 4).scores == {i: 0.0 for i in range(4)}
+    assert accessibility(CYCLE4, 4).scores.tolist() == [0.0] * 4
+    assert symmetry(CYCLE4, 4).scores.tolist() == [0.0] * 4
 
 
 def test_accessibility_values():
@@ -309,6 +330,10 @@ def test_generalized_accessibility_isolated_ranks_last():
     res = generalized_accessibility(g)
     assert res.scores[2] == -math.inf
     assert res.ranked()[-1] == 2
+    # select's order puts it last too, whatever its tie keys
+    records = [SentenceRecord(k, "d0", 0, 2 - k, f"s{k}.", ("s",))
+               for k in range(3)]
+    assert SelectionState(records).rank_order(res)[-1] == 2
     p_inf = oracles.series_30_terms(
         oracles.transition_matrix(3, util.effective_triples(g), True))
     assert res.scores[0] == pytest.approx(
@@ -338,12 +363,12 @@ def test_generalized_accessibility_matches_series_oracle():
             assert (got_inf[i, apart] == 0.0).all()
             assert got[i] == pytest.approx(oracles.true_diversity(
                 {j: want_inf[i, j] for j in range(n)}), abs=1e-9)
-    assert -math.inf in got.values()
+    assert -math.inf in got
 
 
 def test_symmetry_path_hand_values():
     res = symmetry(PATH3, 2)
-    assert res.scores == {0: 1.0, 1: 0.0, 2: 1.0}
+    assert res.scores.tolist() == [1.0, 0.0, 1.0]
     assert res.direction == HIGHEST
 
 
@@ -370,7 +395,7 @@ def test_symmetry_is_alpha_invariant():
     rng = np.random.default_rng(37)
     g = util.random_multilayer(rng)
     base = symmetry(g, 2).scores
-    assert symmetry(apply_alpha(g, 1.7), 2).scores == base
+    assert np.array_equal(symmetry(apply_alpha(g, 1.7), 2).scores, base)
 
 
 def test_symmetry_rejects_h_below_one():
@@ -387,7 +412,9 @@ def test_absorption_time_star_hand_values():
 
 def test_absorption_time_singleton_is_infinite():
     g = from_edges(3, [0, 1, 0], [(0, 1, 0.5)])
-    assert absorption_time(g).scores[2] == math.inf
+    res = absorption_time(g)
+    assert res.scores[2] == math.inf
+    assert res.direction == LOWEST and res.ranked()[-1] == 2
 
 
 def test_absorption_time_matches_fundamental_matrix():
@@ -459,14 +486,14 @@ def test_compute_registry_dispatch():
     for measure in ALL_MEASURES:
         res = compute(measure, CYCLE4)
         assert res.measure == measure
-        assert set(res.scores) == {0, 1, 2, 3}
+        assert res.scores.shape == (4,)
     assert compute("sp", CYCLE4).direction == LOWEST
     assert compute("dg", CYCLE4).direction == HIGHEST
 
 
 def test_compute_sym_low_mirrors_sym():
     low = compute("sym_low", CYCLE4)
-    assert low.scores == compute("sym", CYCLE4).scores
+    assert np.array_equal(low.scores, compute("sym", CYCLE4).scores)
     assert low.direction == LOWEST
 
 
@@ -519,8 +546,8 @@ def test_snapped_ranking_survives_relabelled_nodes(toy_corpus, source):
             for measure in ALL_MEASURES:
                 want = compute(measure, g, h)
                 got = compute(measure, moved, h)
-                back = CentralityResult(measure, {
-                    int(perm[k]): x for k, x in got.scores.items()},
-                    got.direction)
+                unmoved = np.empty(base.n_nodes)
+                unmoved[perm] = got.scores
+                back = CentralityResult(measure, unmoved, got.direction)
                 assert _tie_groups(back) == _tie_groups(want), \
                     (measure, h, g.weighted)

@@ -94,9 +94,9 @@ def _result(measure, scores):
 
 
 def test_spearman_matrix_monotone_pairs():
-    up = _result("dg", {0: 1.0, 1: 2.0, 2: 3.0})
-    up2 = _result("stg", {0: 2.0, 1: 4.0, 2: 9.0})
-    down = _result("sp", {0: 5.0, 1: 3.0, 2: 1.0})
+    up = _result("dg", [1.0, 2.0, 3.0])
+    up2 = _result("stg", [2.0, 4.0, 9.0])
+    down = _result("sp", [5.0, 3.0, 1.0])
     m = spearman_matrix([up, up2, down])
     assert m.labels == ("dg", "stg", "sp")
     assert m.values[0, 1] == pytest.approx(1.0)
@@ -106,16 +106,18 @@ def test_spearman_matrix_monotone_pairs():
 
 
 def test_spearman_matrix_constant_vector_is_nan():
-    m = spearman_matrix([_result("dg", {0: 1.0, 1: 1.0}),
-                         _result("stg", {0: 1.0, 1: 2.0})])
+    m = spearman_matrix([_result("dg", [1.0, 1.0]),
+                         _result("stg", [1.0, 2.0])])
     assert math.isnan(m.values[0, 1])
     assert m.values[0, 0] == 1.0
 
 
 def test_spearman_matrix_node_set_mismatch():
-    with pytest.raises(InvalidParameter):
-        spearman_matrix([_result("dg", {0: 1.0, 1: 2.0}),
-                         _result("stg", {0: 1.0, 2: 2.0})])
+    # scores are indexed by node, so a result over another node set has
+    # another length
+    with pytest.raises(InvalidParameter, match="different numbers of nodes"):
+        spearman_matrix([_result("dg", [1.0, 2.0]),
+                         _result("stg", [1.0, 2.0, 3.0])])
 
 
 def test_spearman_matches_hand_rho_with_ties():
@@ -125,8 +127,8 @@ def test_spearman_matches_hand_rho_with_ties():
         x = [float(v) for v in rng.integers(0, 4, n)]
         y = [float(v) for v in rng.integers(0, 4, n)]
         m = spearman_matrix([
-            _result("dg", dict(enumerate(x))),
-            _result("stg", dict(enumerate(y)))])
+            _result("dg", x),
+            _result("stg", y)])
         want = oracles.spearman_rho(x, y)
         if want is None:
             assert math.isnan(m.values[0, 1])
@@ -163,7 +165,7 @@ def test_spearman_matrix_equals_scipy_bit_for_bit():
             vectors.append(x)
         if trial % 10 == 9:   # the last trial among them
             vectors[1][int(rng.integers(n))] = np.nan
-        got = spearman_matrix([_result(m, dict(enumerate(x)))
+        got = spearman_matrix([_result(m, x)
                                for m, x in zip(labels, vectors)])
         want = _scipy_spearman_matrix(vectors)
         assert np.array_equal(got.values.view(np.int64),
@@ -384,6 +386,14 @@ def test_write_curves_takes_best_over_ards(tmp_path):
     assert lines[0] == "alpha,r,rouge1_mean"
     assert lines[1] == "1,0.2,0.600000"   # max of the none/AR1 variants
     assert len(lines) == 2                # the all-skip point is dropped
+
+
+def test_prepared_records_are_numbered_by_position(toy_corpus):
+    # node i, scores[i] and selected id i all name records[i]
+    assert len(toy_corpus) == 2
+    for cluster in toy_corpus:
+        records = prepare_cluster(cluster).records
+        assert [rec.global_id for rec in records] == list(range(len(records)))
 
 
 def test_grid_rankings_yields_each_graph_once(toy_corpus):

@@ -72,6 +72,13 @@ def test_segment_keeps_decimal_numbers_together():
 def test_segment_known_abbreviation_does_not_split():
     out = segment("Dr. Smith arrived. He left.")
     assert out == ["Dr. Smith arrived.", "He left."]
+    # "approx" is the longest abbreviation; one letter more is a word
+    assert segment("It took approx. ten days.") == ["It took approx. ten days."]
+    assert segment("It took approxx. Ten days.") == \
+        ["It took approxx.", "Ten days."]
+    # a long word that ends in an abbreviation is no abbreviation
+    assert segment("Sold to Westinghousecorp. Then more.") == \
+        ["Sold to Westinghousecorp.", "Then more."]
 
 
 def test_segment_multi_terminator_runs():
@@ -121,7 +128,7 @@ def test_segment_boundaries_match_the_prefix_regex(monkeypatch):
     # "\n." puts a period after a newline, which `$` skips over
     pieces = ["Dr", "etc", "ETC", "x1etc", "no", "Ñetc", "café", "x²",
               "a_b", "3", "14", "_", " ", "  ", "\n", "\n.", ".", "!", "?",
-              "..", "word", "Fig"]
+              "..", "word", "Fig", "approx", "corp"]
     rng = random.Random(7)
     texts = ["".join(rng.choice(pieces) for _ in range(rng.randint(1, 40)))
              for _ in range(1000)]

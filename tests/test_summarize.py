@@ -65,7 +65,7 @@ def test_select_greedy_rank_order():
     sentences = [rec(0, 0, 0, "low priority filler sentence."),
                  rec(1, 0, 1, "top ranked sentence here."),
                  rec(2, 1, 0, "second best sentence overall.")]
-    ranking = CentralityResult("dg", {0: 0.1, 1: 0.9, 2: 0.5}, HIGHEST)
+    ranking = CentralityResult("dg", [0.1, 0.9, 0.5], HIGHEST)
     out = select(sentences, ranking, SummaryBudget("words", 8),
                  RedundancyConfig())
     assert out.selected == (1, 2)
@@ -75,7 +75,7 @@ def test_select_greedy_rank_order():
 
 def test_select_lowest_direction_flips_order():
     sentences = [rec(0, 0, 0, "alpha beta."), rec(1, 1, 0, "gamma delta.")]
-    ranking = CentralityResult("sp", {0: 3.0, 1: 1.0}, LOWEST)
+    ranking = CentralityResult("sp", [3.0, 1.0], LOWEST)
     out = select(sentences, ranking, SummaryBudget("words", 2),
                  RedundancyConfig())
     assert out.selected == (1,)
@@ -85,7 +85,7 @@ def test_select_tie_break_layer_then_position():
     sentences = [rec(0, 1, 0, "from second layer."),
                  rec(1, 0, 1, "later in first."),
                  rec(2, 0, 0, "first layer first.")]
-    ranking = CentralityResult("dg", {0: 1.0, 1: 1.0, 2: 1.0}, HIGHEST)
+    ranking = CentralityResult("dg", [1.0, 1.0, 1.0], HIGHEST)
     out = select(sentences, ranking, SummaryBudget("words", 20),
                  RedundancyConfig())
     assert out.selected == (2, 1, 0)
@@ -94,7 +94,7 @@ def test_select_tie_break_layer_then_position():
 def test_select_skip_and_continue_on_budget():
     sentences = [rec(0, 0, 0, "this very long sentence would never fit."),
                  rec(1, 1, 0, "short one.")]
-    ranking = CentralityResult("dg", {0: 0.9, 1: 0.1}, HIGHEST)
+    ranking = CentralityResult("dg", [0.9, 0.1], HIGHEST)
     out = select(sentences, ranking, SummaryBudget("words", 3),
                  RedundancyConfig())
     assert out.selected == (1,)
@@ -103,7 +103,7 @@ def test_select_skip_and_continue_on_budget():
 def test_select_chars_budget_counts_separators():
     sentences = [rec(0, 0, 0, "abcd."), rec(1, 1, 0, "efg."),
                  rec(2, 1, 1, "hi.")]
-    ranking = CentralityResult("dg", {0: 3.0, 1: 2.0, 2: 1.0}, HIGHEST)
+    ranking = CentralityResult("dg", [3.0, 2.0, 1.0], HIGHEST)
     # "abcd." (5) + " efg." (5) = 10; adding " hi." would need 4 more
     out = select(sentences, ranking, SummaryBudget("chars", 12),
                  RedundancyConfig())
@@ -114,7 +114,7 @@ def test_select_chars_budget_counts_separators():
 def test_select_never_picks_empty_token_sentences():
     sentences = [SentenceRecord(0, "d0", 0, 0, "Of the and.", ()),
                  rec(1, 1, 0, "real content here.")]
-    ranking = CentralityResult("dg", {0: 9.0, 1: 1.0}, HIGHEST)
+    ranking = CentralityResult("dg", [9.0, 1.0], HIGHEST)
     out = select(sentences, ranking, SummaryBudget("words", 10),
                  RedundancyConfig())
     assert out.selected == (1,)
@@ -123,7 +123,7 @@ def test_select_never_picks_empty_token_sentences():
 def test_select_empty_summary_when_nothing_fits():
     sentences = [rec(0, 0, 0, "six words never fit this budget."),
                  rec(1, 1, 0, "neither does this second sentence here.")]
-    ranking = CentralityResult("dg", {0: 1.0, 1: 0.5}, HIGHEST)
+    ranking = CentralityResult("dg", [1.0, 0.5], HIGHEST)
     with pytest.raises(EmptySummary):
         select(sentences, ranking, SummaryBudget("words", 3),
                RedundancyConfig())
@@ -131,7 +131,7 @@ def test_select_empty_summary_when_nothing_fits():
 
 def test_select_ar1_requires_vectors():
     sentences = [rec(0, 0, 0, "a b."), rec(1, 1, 0, "c d.")]
-    ranking = CentralityResult("dg", {0: 1.0, 1: 0.5}, HIGHEST)
+    ranking = CentralityResult("dg", [1.0, 0.5], HIGHEST)
     for state in (None, SelectionState(sentences)):
         with pytest.raises(InvalidInput):
             select(sentences, ranking, SummaryBudget("words", 10),
@@ -162,8 +162,8 @@ def test_select_ar2_skips_near_duplicates():
 
 
 def _random_rankings(rng, records, count):
-    return [CentralityResult("dg", {r.global_id: float(rng.integers(0, 4))
-                                    for r in records}, HIGHEST)
+    return [CentralityResult("dg", [float(rng.integers(0, 4))
+                                    for _ in records], HIGHEST)
             for _ in range(count)]
 
 
@@ -206,6 +206,15 @@ def test_selection_state_computes_each_piece_once(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
+def test_select_rejects_a_ranking_of_another_length():
+    sentences = [rec(0, 0, 0, "alpha beta."), rec(1, 1, 0, "gamma delta."),
+                 rec(2, 1, 1, "epsilon zeta.")]
+    ranking = CentralityResult("dg", [1.0, 0.5], HIGHEST)
+    with pytest.raises(InvalidParameter, match="scores 2 nodes"):
+        select(sentences, ranking, SummaryBudget("words", 10),
+               RedundancyConfig())
+
+
 def test_select_rejects_a_state_of_other_sentences():
     rng = np.random.default_rng(61)
     records, _ = util.random_records(rng)
@@ -242,7 +251,7 @@ def _greedy_by_any(sentences, ranking, budget, red, cosines):
 
     def key(gid):
         r = by_id[gid]
-        return (sign * ranking.snapped[gid], r.layer_index,
+        return (sign * ranking.snapped[pos[gid]], r.layer_index,
                 r.position_in_doc, gid)
 
     kind, limit = resolve_budget(budget, sentences)
@@ -311,9 +320,7 @@ def test_select_matches_the_greedy_rule(case):
     records, cosines, calls = case
     state = SelectionState(records, cosines)
     for scores, direction, budget, red in calls:
-        ranking = CentralityResult(
-            "dg", dict(zip((r.global_id for r in records), scores)),
-            direction)
+        ranking = CentralityResult("dg", scores, direction)
         assert _outcome(select, records, ranking, budget, red, state) \
             == _outcome(_greedy_by_any, records, ranking, budget, red,
                         cosines)

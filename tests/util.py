@@ -124,10 +124,11 @@ def state_for(records):
 
 def ranking_preferring(records, preferred, measure="dg"):
     """A HIGHEST-direction ranking that puts `preferred` gids on top."""
-    scores = {r.global_id: float(i) for i, r in enumerate(records)}
-    top = max(scores.values()) + 1.0
+    position = {r.global_id: k for k, r in enumerate(records)}
+    scores = [float(k) for k in range(len(records))]
+    top = max(scores) + 1.0
     for rank, gid in enumerate(preferred):
-        scores[gid] = top + len(preferred) - rank
+        scores[position[gid]] = top + len(preferred) - rank
     return CentralityResult(measure, scores, HIGHEST)
 
 
