@@ -20,15 +20,16 @@ from .errors import (ClusterTooSmall, ConvergenceError, CorpusFormatError,
                      DegenerateCluster, EmptyCorpus, EmptyGraph, EmptySummary,
                      InvalidInput, InvalidParameter, InvalidReference,
                      NetsummError, SingularMatrix)
-from .evaluate import (CorrelationMatrix, EvaluationReport, PreparedCluster,
-                       SweepGrid, grid_rankings, prepare_cluster,
-                       rouge1_recall, run_sweep, spearman_matrix)
+from .evaluate import (CorrelationMatrix, EvaluationReport, SweepGrid,
+                       grid_rankings, rouge1_recall, run_sweep,
+                       spearman_matrix)
 from .graph import (Edge, MultilayerGraph, apply_alpha, build, from_edges,
                     remove_weakest)
 from .preprocess import (LanguageResources, SentenceRecord, build_sentences,
                          load_resources, normalize, segment)
-from .summarize import (RedundancyConfig, SelectionState, Summary,
-                        ar1_threshold, ngram_similarity, select)
+from .summarize import (PreparedCluster, RedundancyConfig, Summary,
+                        ar1_threshold, ngram_similarity, prepare_cluster,
+                        select)
 from .tfidf import (ClusterVectors, SentenceVector, TfIdfModel, cosine, fit,
                     vectorize, vectorize_all)
 

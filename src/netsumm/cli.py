@@ -196,12 +196,12 @@ def cmd_summarize(merged: dict) -> int:
 
     for cluster in clusters:
         try:
-            prepared = evaluate.prepare_cluster(cluster)
+            prepared = summarize.prepare_cluster(cluster)
         except NetsummError as exc:
             fail(cluster.id, exc)
             continue
         # the kind the budget counts: a compression rate counts words
-        kind, _ = prepared.state.budget_limit(cluster.budget)
+        kind, _ = prepared.budget_limit(cluster.budget)
         if merged.get("dump-sim"):
             _write_sim(target(f"{cluster.id}__sim.csv"), prepared)
         for alpha, r, g, results in evaluate.grid_rankings(prepared, grid):
@@ -220,9 +220,8 @@ def cmd_summarize(merged: dict) -> int:
                 for ard in grid.ards:
                     try:
                         summ = summarize.select(
-                            prepared.records, ranking, cluster.budget,
-                            summarize.RedundancyConfig(method=ard),
-                            prepared.state)
+                            prepared, ranking, cluster.budget,
+                            summarize.RedundancyConfig(method=ard))
                     except NetsummError as exc:
                         fail(f"{stem}__{ard}", exc)
                         continue
@@ -270,7 +269,7 @@ def _write_edges(path: Path, g) -> None:
     evaluate.write_lines(path, lines)
 
 
-def _write_sim(path: Path, prepared: evaluate.PreparedCluster) -> None:
+def _write_sim(path: Path, prepared: summarize.PreparedCluster) -> None:
     sims = prepared.base.W.copy()
     # a sentence's cosine with itself: 1, or 0 when it has no tokens
     np.fill_diagonal(sims, [1.0 if rec.tokens else 0.0

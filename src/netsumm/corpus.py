@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ClusterTooSmall, CorpusFormatError, EmptyCorpus
+from .errors import (ClusterTooSmall, CorpusFormatError, EmptyCorpus,
+                     InvalidInput)
 
 SUPPORTED_LANGUAGES = ("en", "pt")
 _BUDGET_KINDS = ("words", "chars", "compression")
@@ -50,11 +51,19 @@ class SummaryBudget:
 
 @dataclass(frozen=True)
 class Cluster:
+    """Documents in layer order: documents[k] has layer_index k, or
+    InvalidInput is raised."""
+
     id: str
     documents: tuple
     references: tuple
     budget: SummaryBudget
     language: str = "en"
+
+    def __post_init__(self):
+        if any(doc.layer_index != k for k, doc in enumerate(self.documents)):
+            raise InvalidInput(
+                f"cluster {self.id}: document k must have layer index k")
 
 
 def _read_text(path: Path) -> str:

@@ -1,5 +1,4 @@
-"""Cluster preparation, ROUGE-1 recall scoring, the (alpha, r) sweep, and
-rank correlations.
+"""ROUGE-1 recall scoring, the (alpha, r) sweep, and rank correlations.
 
 grid_rankings is the one walk over the (alpha, r, measure) grid: it derives
 each alpha-scaled and each thresholded graph once and ranks it with the
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import centrality, graph, preprocess, summarize, tfidf
+from . import centrality, graph, summarize
 from .centrality import ALL_MEASURES, WEIGHTED_MEASURES
 from .corpus import Cluster
 from .errors import InvalidParameter, InvalidReference, NetsummError
@@ -33,31 +32,6 @@ DEFAULT_ALPHAS = (0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 1.7, 1.9)
 DEFAULT_RS = (0.1, 0.2, 0.3, 0.4, 0.5)
 DEFAULT_ARDS = ("none", "AR1", "AR2")
 AGGREGATES = ("mean", "max")
-
-
-@dataclass(frozen=True)
-class PreparedCluster:
-    """What every (alpha, r, measure, ard) cell of one cluster starts from.
-
-    records[i] is node i of `base` and has global_id i; the base graph's W
-    holds every pairwise tf-idf cosine, which `state` reads for AR1.
-    """
-
-    records: list
-    base: graph.MultilayerGraph
-    state: summarize.SelectionState
-
-
-def prepare_cluster(cluster: Cluster) -> PreparedCluster:
-    """Segment and normalize the cluster's sentences, vectorize them and
-    build the base graph (alpha 1, no edge removed)."""
-    res = preprocess.load_resources(cluster.language)
-    records = preprocess.build_sentences(cluster, res)
-    model = tfidf.fit(records, len(cluster.documents))
-    base = graph.build(tfidf.vectorize_all(records, model),
-                       [rec.layer_index for rec in records])
-    return PreparedCluster(records, base,
-                           summarize.SelectionState(records, base.W))
 
 
 def rouge_tokens(text: str) -> list:
@@ -230,6 +204,12 @@ def _corr_point(grid: SweepGrid) -> tuple:
     return alpha, r
 
 
+def _corr_labels(grid: SweepGrid) -> tuple:
+    """The measures the correlations cover, in grid order: all but
+    sym_low, whose ranking reverses sym's scores."""
+    return tuple(m for m in grid.measures if m != "sym_low")
+
+
 def _corr_snapshot(labels: tuple, results: dict) -> CorrelationMatrix | None:
     """Spearman matrix over `labels`; a measure missing from results (its
     ranking failed) gets NaN correlations."""
@@ -246,7 +226,7 @@ def _corr_snapshot(labels: tuple, results: dict) -> CorrelationMatrix | None:
     return CorrelationMatrix(labels, values)
 
 
-def grid_rankings(prepared: PreparedCluster, grid: SweepGrid):
+def grid_rankings(prepared: summarize.PreparedCluster, grid: SweepGrid):
     """Every ranking of one cluster over the grid, one graph at a time.
 
     Per alpha, yields (alpha, None, g_alpha, {weighted measure: result});
@@ -296,7 +276,7 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, aggregate: str
     """All cell scores for one cluster: ({(measure, alpha, r, ard):
     (score|None, note)}, CorrelationMatrix|None)."""
     try:
-        prepared = prepare_cluster(cluster)
+        prepared = summarize.prepare_cluster(cluster)
     except NetsummError as exc:
         return {key: (None, _skip(exc)) for key in grid.cells()}, None
 
@@ -319,15 +299,13 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, aggregate: str
                 for ard in grid.ards:
                     cells[(measure, alpha, r, ard)] = (None, _skip(ranking))
                 continue
-            if alpha == corr_alpha and r in (None, corr_r) \
-                    and measure != "sym_low":
+            if alpha == corr_alpha and r in (None, corr_r):
                 corr_results[measure] = ranking
             for ard in grid.ards:
                 try:
                     selected = summarize.select(
-                        prepared.records, ranking, cluster.budget,
-                        summarize.RedundancyConfig(method=ard),
-                        prepared.state).selected
+                        prepared, ranking, cluster.budget,
+                        summarize.RedundancyConfig(method=ard)).selected
                 except NetsummError as exc:
                     cells[(measure, alpha, r, ard)] = (None, _skip(exc))
                     continue
@@ -339,8 +317,7 @@ def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, aggregate: str
                         aggregate), "")
                 cells[(measure, alpha, r, ard)] = scored[selected]
 
-    labels = tuple(m for m in grid.measures if m != "sym_low")
-    return cells, _corr_snapshot(labels, corr_results)
+    return cells, _corr_snapshot(_corr_labels(grid), corr_results)
 
 
 def check_sweep_options(aggregate: str, jobs: int) -> None:
@@ -402,15 +379,12 @@ def run_sweep(clusters: list, grid: SweepGrid = SweepGrid(),
 
 def _average_correlations(matrices: list, grid: SweepGrid
                           ) -> CorrelationMatrix:
-    labels = tuple(m for m in grid.measures if m != "sym_low")
+    labels = _corr_labels(grid)
     k = len(labels)
     if not matrices:
         values = np.full((k, k), np.nan)
         np.fill_diagonal(values, 1.0)
         return CorrelationMatrix(labels, values)
-    for m in matrices:
-        if m.labels != labels:
-            raise InvalidParameter("correlation labels differ across clusters")
     stack = np.stack([m.values for m in matrices])
     # np.nanmean's arithmetic, but a pair NaN in every cluster stays NaN
     # without a "Mean of empty slice" warning

@@ -118,11 +118,14 @@ def build(vectors, layers) -> MultilayerGraph:
 
     vectors: a tfidf.ClusterVectors, or SentenceVectors indexed by
     position; node i is vectors[i].
-    layers: mapping or sequence giving each sentence's layer index.
+    layers: mapping or sequence giving each sentence's layer index, one
+    entry per vector; InvalidInput otherwise.
     """
     if not isinstance(vectors, tfidf.ClusterVectors):
         vectors = tfidf.stack(vectors)
     n = len(vectors.norms)
+    if len(layers) != n:
+        raise InvalidInput(f"{len(layers)} layer indices for {n} sentences")
     layer_of = [layers[i] for i in range(n)]
     if n < 2 or len(set(layer_of)) < 2:
         raise InvalidInput(

@@ -211,7 +211,8 @@ def build_sentences(cluster: Cluster, res: LanguageResources) -> list:
     """Segment and normalize every document of a cluster.
 
     Returns SentenceRecords with global_id increasing in (layer_index,
-    position_in_doc) order. Raises DegenerateCluster when no sentence
+    position_in_doc) order, as a Cluster holds its documents in layer
+    order. Raises DegenerateCluster when no sentence
     carries any content token. Each distinct token is normalized once per
     call.
     """

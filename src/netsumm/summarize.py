@@ -1,19 +1,21 @@
-"""Extract construction: pick ranked sentences under a budget with optional
-anti-redundancy filtering.
+"""Cluster preparation and extract construction: pick ranked sentences
+under a budget with optional anti-redundancy filtering.
 
 AR1 skips a candidate whose tf-idf cosine to any already selected sentence
 exceeds L1 = (max - min)/2 of all pairwise similarities in the cluster.
 AR2 skips on a weighted Jaccard agreement of 1- to 4-gram sets, weights
 AR2_WEIGHTS, above AR2_THRESHOLD. Both comparisons are strict.
 
-What select needs beyond the ranking does not change across the cells of a
-sweep: each sentence's word and character counts, each resolved budget, the
-(layer, position, id) tie keys, and per anti-redundancy method a boolean
-matrix of which sentence a chosen one blocks. A SelectionState holds these
-for one cluster and computes each piece once. AR1's matrix is the pairwise
-cosines (the weights of the cluster's base graph) above L1; AR2's fills a
-row the first time its sentence is chosen. Both tests are symmetric, so a
-candidate is skipped exactly when some chosen sentence's row blocks it.
+Candidates are taken in ranked() order: by snapped score, ties by node id,
+which is the sentences' (layer, position) order. What select needs beyond
+the ranking does not change across the cells of a sweep: each sentence's
+word and character counts, each resolved budget, and per anti-redundancy
+method a boolean matrix of which sentence a chosen one blocks. A
+PreparedCluster holds these with the cluster's sentences and base graph
+and computes each piece once. AR1's matrix is the pairwise cosines (the
+weights of the base graph) above L1; AR2's fills a row the first time its
+sentence is chosen. Both tests are symmetric, so a candidate is skipped
+exactly when some chosen sentence's row blocks it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centrality import HIGHEST, CentralityResult
-from .corpus import SummaryBudget
+from . import graph, preprocess, tfidf
+from .centrality import CentralityResult
+from .corpus import Cluster, SummaryBudget
 from .errors import EmptySummary, InvalidInput, InvalidParameter
 from .preprocess import SentenceRecord
 from .tfidf import cosine  # noqa: F401  (a public name of this module)
@@ -86,36 +89,38 @@ def ngram_similarity(a: SentenceRecord, b: SentenceRecord,
     return total
 
 
-class SelectionState:
-    """Per-cluster inputs of select, each computed once.
+class PreparedCluster:
+    """One cluster's sentences, its base graph (alpha 1, nothing removed)
+    and what select reads beyond the ranking, each computed once.
 
-    Holds, in sentence order: each sentence's word and character counts and
-    its (layer, position, id) tie keys; the least cost of a sentence with
-    tokens per budget kind; each resolved budget; the AR1 matrix, cosines >
-    L1, built on first use; and, once AR2 is first used, the sentences'
-    n-gram sets and a matrix whose row k is filled when sentence k is first
-    chosen. Row k of a matrix marks the sentences that sentence k blocks.
-    Build one per cluster and pass it to select; it must not outlive the
-    cluster.
-
-    cosines: the sentences' pairwise cosines as an n x n array in sentence
-    order (the W of the cluster's base graph); AR1 needs them.
+    records[i] is node i of `base` and has global_id i, and (layer,
+    position) strictly increases along the records, so ranked()'s node-id
+    order among tied scores is the sentences' order in the cluster; raises
+    InvalidInput otherwise. base.W holds every pairwise tf-idf cosine,
+    which AR1 reads. Row k of a redundancy matrix marks the sentences that
+    sentence k blocks.
     """
 
-    def __init__(self, sentences: list, cosines: np.ndarray | None = None):
-        self.sentences = sentences
-        self._tie_keys = (np.array([rec.global_id for rec in sentences]),
-                          np.array([rec.position_in_doc for rec in sentences]),
-                          np.array([rec.layer_index for rec in sentences]))
-        self.words = [word_count(rec.raw_text) for rec in sentences]
-        self.chars = [len(rec.raw_text) for rec in sentences]
+    def __init__(self, records: list, base: graph.MultilayerGraph):
+        if base.n_nodes != len(records):
+            raise InvalidInput(f"the base graph has {base.n_nodes} nodes "
+                               f"for {len(records)} sentences")
+        keys = [(rec.layer_index, rec.position_in_doc) for rec in records]
+        if any(rec.global_id != k for k, rec in enumerate(records)) \
+                or any(a >= b for a, b in zip(keys, keys[1:])):
+            raise InvalidInput(
+                "sentences must have global ids 0..n-1 in increasing "
+                "(layer, position) order")
+        self.records = records
+        self.base = base
+        self.words = [word_count(rec.raw_text) for rec in records]
+        self.chars = [len(rec.raw_text) for rec in records]
         # per budget kind, the least any candidate costs once a sentence is
         # chosen (a chars budget adds the space before it)
-        usable = [k for k, rec in enumerate(sentences) if rec.tokens]
+        usable = [k for k, rec in enumerate(records) if rec.tokens]
         self.least_cost = {
             "words": min((self.words[k] for k in usable), default=0),
             "chars": min((self.chars[k] for k in usable), default=0) + 1}
-        self._cosines = cosines
         self._budgets = {}
         self._ar1 = None
         self._ar2 = None
@@ -123,32 +128,24 @@ class SelectionState:
     def budget_limit(self, budget: SummaryBudget) -> tuple:
         """resolve_budget over these sentences."""
         if budget not in self._budgets:
-            self._budgets[budget] = resolve_budget(budget, self.sentences)
+            self._budgets[budget] = resolve_budget(budget, self.records)
         return self._budgets[budget]
-
-    def rank_order(self, ranking: CentralityResult) -> list:
-        """Sentence positions by snapped score (scores[k] is sentence k's);
-        ties by (layer, position, id)."""
-        sign = -1.0 if ranking.direction == HIGHEST else 1.0
-        return np.lexsort(self._tie_keys + (sign * ranking.snapped,)).tolist()
 
     def redundancy_rows(self, red: RedundancyConfig):
         """rows(k) -> the boolean row of sentences that `red` skips once
         sentence k is chosen; None for method "none"."""
         if red.method == "none":
             return None
-        n = len(self.sentences)
+        n = len(self.records)
         if red.method == "AR1":
             if self._ar1 is None:
-                if self._cosines is None:
-                    raise InvalidInput(
-                        "AR1 needs the cluster's sentence cosines")
-                self._ar1 = self._cosines > ar1_threshold(
-                    self._cosines[np.triu_indices(n, 1)])
+                cosines = self.base.W
+                self._ar1 = cosines > ar1_threshold(
+                    cosines[np.triu_indices(n, 1)])
             return self._ar1.__getitem__
         if self._ar2 is None:
             self._ar2 = (np.zeros((n, n), dtype=bool), np.zeros(n, dtype=bool),
-                         [ngram_sets(rec.tokens) for rec in self.sentences])
+                         [ngram_sets(rec.tokens) for rec in self.records])
         blocks, filled, grams = self._ar2
 
         def rows(k: int) -> np.ndarray:
@@ -156,8 +153,8 @@ class SelectionState:
                 # the similarity is symmetric: copy the filled rows' entries
                 # and compare with the rest; sentences without tokens are
                 # never candidates and stay unblocked
-                a = self.sentences[k]
-                for j, b in enumerate(self.sentences):
+                a = self.records[k]
+                for j, b in enumerate(self.records):
                     if filled[j]:
                         blocks[k, j] = blocks[j, k]
                     elif j != k and b.tokens:
@@ -166,6 +163,17 @@ class SelectionState:
                 filled[k] = True
             return blocks[k]
         return rows
+
+
+def prepare_cluster(cluster: Cluster) -> PreparedCluster:
+    """Segment and normalize the cluster's sentences, vectorize them and
+    build the base graph (alpha 1, no edge removed)."""
+    res = preprocess.load_resources(cluster.language)
+    records = preprocess.build_sentences(cluster, res)
+    model = tfidf.fit(records, len(cluster.documents))
+    base = graph.build(tfidf.vectorize_all(records, model),
+                       [rec.layer_index for rec in records])
+    return PreparedCluster(records, base)
 
 
 def word_count(text: str) -> int:
@@ -183,44 +191,38 @@ def resolve_budget(budget: SummaryBudget, sentences: list) -> tuple:
     return budget.kind, int(budget.value)
 
 
-def select(sentences: list, ranking: CentralityResult, budget: SummaryBudget,
-           red: RedundancyConfig, state: SelectionState | None = None
-           ) -> Summary:
-    """Greedy selection in rank order under the budget.
+def select(prepared: PreparedCluster, ranking: CentralityResult,
+           budget: SummaryBudget, red: RedundancyConfig) -> Summary:
+    """Greedy selection in ranked() order under the budget.
 
     A candidate that overflows the budget is skipped, not terminal: later,
     shorter candidates may still fit; the scan stops once what is left of
     the budget is below the cheapest candidate's cost. Redundant
     candidates (per `red`) are skipped permanently. Empty-token sentences
     are never selected. Raises EmptySummary when nothing fits, and
-    InvalidParameter when len(ranking.scores) != len(sentences).
-
-    state: a SelectionState built for these sentences, which keeps what one
-    call computes for the next; AR1 needs one that holds the cosines.
+    InvalidParameter when the ranking does not score one node per sentence
+    of `prepared`.
     """
+    records = prepared.records
     n = len(ranking.scores)
-    if n != len(sentences):
+    if n != len(records):
         raise InvalidParameter(
-            f"{ranking.measure} scores {n} nodes, not {len(sentences)}")
-    if state is None:
-        state = SelectionState(sentences)
-    if state.sentences is not sentences:
-        raise InvalidParameter("the selection state holds other sentences")
-    rows = state.redundancy_rows(red)
-    kind, limit = state.budget_limit(budget)
-    costs = state.words if kind == "words" else state.chars
-    least = state.least_cost[kind]
-    blocked = np.zeros(len(sentences), dtype=bool)
+            f"{ranking.measure} scores {n} nodes, not {len(records)}")
+    rows = prepared.redundancy_rows(red)
+    kind, limit = prepared.budget_limit(budget)
+    costs = prepared.words if kind == "words" else prepared.chars
+    least = prepared.least_cost[kind]
+    blocked = np.zeros(n, dtype=bool)
     chosen = []
     used = 0
-    for k in state.rank_order(ranking):
-        if blocked[k] or not sentences[k].tokens:
+    for k in ranking.ranked():
+        if blocked[k] or not records[k].tokens:
             continue
         # a chars budget also counts the space before each later sentence
         cost = costs[k] + (1 if chosen and kind == "chars" else 0)
         if used + cost > limit:
             continue
-        chosen.append(sentences[k])
+        chosen.append(records[k])
         used += cost
         if limit - used < least:
             break  # no later candidate fits

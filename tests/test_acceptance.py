@@ -210,10 +210,10 @@ def test_acceptance_6_duplicate_suppression():
             rng, dup_pairs=int(rng.integers(1, 3)))
         flat = [gid for pair in pairs for gid in pair]
         ranking = util.ranking_preferring(records, flat)
-        control = select(records, ranking, budget, RedundancyConfig())
-        ar1 = select(records, ranking, budget, RedundancyConfig("AR1"),
-                     util.state_for(records))
-        ar2 = select(records, ranking, budget, RedundancyConfig("AR2"))
+        prepared = util.prepared_for(records)
+        control = select(prepared, ranking, budget, RedundancyConfig())
+        ar1 = select(prepared, ranking, budget, RedundancyConfig("AR1"))
+        ar2 = select(prepared, ranking, budget, RedundancyConfig("AR2"))
         for a, b in pairs:
             ok = ok and a in control.selected and b in control.selected
             ok = ok and not (a in ar1.selected and b in ar1.selected)

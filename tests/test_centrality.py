@@ -16,11 +16,9 @@ from netsumm.centrality import (ALL_MEASURES, HIGHEST, LOWEST,
                                 _row_diversity, pagerank, saw_probabilities,
                                 strength, symmetry)
 from netsumm.errors import ConvergenceError, InvalidParameter
-from netsumm.evaluate import prepare_cluster
 from netsumm.graph import (MultilayerGraph, apply_alpha, build, from_edges,
                            remove_weakest)
-from netsumm.preprocess import SentenceRecord
-from netsumm.summarize import SelectionState
+from netsumm.summarize import prepare_cluster
 
 PATH3 = from_edges(3, [0, 1, 0], [(0, 1, 0.5), (1, 2, 0.5)])
 STAR = from_edges(4, [0, 1, 1, 1], [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
@@ -330,10 +328,6 @@ def test_generalized_accessibility_isolated_ranks_last():
     res = generalized_accessibility(g)
     assert res.scores[2] == -math.inf
     assert res.ranked()[-1] == 2
-    # select's order puts it last too, whatever its tie keys
-    records = [SentenceRecord(k, "d0", 0, 2 - k, f"s{k}.", ("s",))
-               for k in range(3)]
-    assert SelectionState(records).rank_order(res)[-1] == 2
     p_inf = oracles.series_30_terms(
         oracles.transition_matrix(3, util.effective_triples(g), True))
     assert res.scores[0] == pytest.approx(

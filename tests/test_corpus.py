@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from netsumm.corpus import (Cluster, SummaryBudget, load_cluster, load_corpus,
-                            parse_budget, parse_manifest)
-from netsumm.errors import ClusterTooSmall, CorpusFormatError, EmptyCorpus
+from netsumm.corpus import (Cluster, Document, SummaryBudget, load_cluster,
+                            load_corpus, parse_budget, parse_manifest)
+from netsumm.errors import (ClusterTooSmall, CorpusFormatError, EmptyCorpus,
+                            InvalidInput)
 
 
 def test_parse_manifest_basics():
@@ -150,3 +151,14 @@ def test_load_corpus_empty(tmp_path):
 def test_load_corpus_bad_path(tmp_path):
     with pytest.raises(CorpusFormatError):
         load_corpus(tmp_path / "nope")
+
+
+def test_cluster_holds_its_documents_in_layer_order():
+    budget = SummaryBudget("words", 10)
+    docs = (Document("a", "One. Two.", 0), Document("b", "Three.", 1))
+    assert Cluster("c", docs, (), budget).documents == docs
+    # reversed layer indices would number layer 1's sentences first
+    for bad in (tuple(reversed(docs)),
+                (Document("a", "One.", 1), Document("b", "Two.", 2))):
+        with pytest.raises(InvalidInput, match="layer index"):
+            Cluster("c", bad, (), budget)

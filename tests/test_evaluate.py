@@ -13,11 +13,11 @@ from netsumm.errors import (ConvergenceError, InvalidParameter,
                             InvalidReference, SingularMatrix)
 from netsumm.evaluate import (DEFAULT_ALPHAS, DEFAULT_RS, CorrelationMatrix,
                               EvaluationReport, SweepGrid, SweepRow,
-                              _corr_point, grid_rankings, prepare_cluster,
-                              rouge1_recall, rouge_tokens,
-                              run_sweep, spearman_matrix, write_best_csv,
-                              write_correlations_csv, write_curves,
-                              write_report_csv)
+                              _corr_point, grid_rankings, rouge1_recall,
+                              rouge_tokens, run_sweep, spearman_matrix,
+                              write_best_csv, write_correlations_csv,
+                              write_curves, write_report_csv)
+from netsumm.summarize import prepare_cluster
 
 SMALL = SweepGrid(alphas=(1.0,), rs=(0.2,), measures=("dg", "stg"),
                   ards=("none",))
@@ -82,7 +82,7 @@ def test_run_sweep_checks_aggregate_and_jobs_first(toy_corpus, monkeypatch):
     def no_preparation(cluster):
         raise AssertionError("a cluster was prepared")
 
-    monkeypatch.setattr(evaluate, "prepare_cluster", no_preparation)
+    monkeypatch.setattr(summarize, "prepare_cluster", no_preparation)
     grid = SweepGrid(alphas=(1.0,), rs=(0.2,), measures=("dg",))
     for kwargs in (dict(aggregate="median"), dict(jobs=0), dict(jobs=-3)):
         with pytest.raises(InvalidParameter):

@@ -6,11 +6,11 @@ import pytest
 import oracles
 import util
 from netsumm.errors import EmptyGraph, InvalidInput, InvalidParameter
-from netsumm.evaluate import prepare_cluster
 from netsumm.graph import (INTER, INTRA, apply_alpha, build,
                            connected_components, cosine_matrix, from_edges,
                            remove_weakest)
 from netsumm.preprocess import SentenceRecord
+from netsumm.summarize import prepare_cluster
 from netsumm.tfidf import SentenceVector, cosine, fit, stack, vectorize
 
 
@@ -43,6 +43,13 @@ def test_build_needs_two_layers():
     vs = _vectors([["a"], ["a"]], [0, 0])
     with pytest.raises(InvalidInput):
         build(vs, [0, 0])
+
+
+def test_build_needs_one_layer_index_per_vector():
+    vs = _vectors([["a", "b"], ["b", "c"], ["c", "a"]], [0, 0, 1])
+    for layers in ([0, 0, 1, 1], [0, 1]):   # extra, then missing entries
+        with pytest.raises(InvalidInput, match="layer indices for 3"):
+            build(vs, layers)
 
 
 def test_build_empty_graph():

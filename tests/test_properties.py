@@ -27,7 +27,7 @@ from netsumm.preprocess import (LanguageResources, SentenceRecord,
                                 normalize, segment, stem)
 from netsumm.summarize import RedundancyConfig, select, word_count
 from netsumm.tfidf import cosine, fit, vectorize
-from util import ranking_preferring
+from util import prepared_for, ranking_preferring
 
 EN = load_resources("en")
 
@@ -237,12 +237,12 @@ sentence_records = st.lists(
 @settings(deadline=None)
 @given(sentence_records, st.integers(1, 50))
 def test_select_respects_word_budget(lists, limit):
-    records = [SentenceRecord(i, f"d{i % 2}", i % 2, i // 2,
-                              " ".join(t) + ".", tuple(t))
+    records = [SentenceRecord(i, "d0", 0, i, " ".join(t) + ".", tuple(t))
                for i, t in enumerate(lists)]
+    prepared = prepared_for(records)
     ranking = ranking_preferring(records, [])
     try:
-        out = select(records, ranking, SummaryBudget("words", limit),
+        out = select(prepared, ranking, SummaryBudget("words", limit),
                      RedundancyConfig())
     except EmptySummary:
         assert all(word_count(r.raw_text) > limit for r in records)
@@ -255,12 +255,12 @@ def test_select_respects_word_budget(lists, limit):
 @settings(deadline=None)
 @given(sentence_records, st.integers(5, 120))
 def test_select_respects_char_budget(lists, limit):
-    records = [SentenceRecord(i, f"d{i % 2}", i % 2, i // 2,
-                              " ".join(t) + ".", tuple(t))
+    records = [SentenceRecord(i, "d0", 0, i, " ".join(t) + ".", tuple(t))
                for i, t in enumerate(lists)]
+    prepared = prepared_for(records)
     ranking = ranking_preferring(records, [])
     try:
-        out = select(records, ranking, SummaryBudget("chars", limit),
+        out = select(prepared, ranking, SummaryBudget("chars", limit),
                      RedundancyConfig())
     except EmptySummary:
         assert all(len(r.raw_text) > limit for r in records)

@@ -12,8 +12,8 @@ from netsumm.corpus import SummaryBudget
 from netsumm.errors import EmptySummary, InvalidInput, InvalidParameter
 from netsumm.preprocess import SentenceRecord
 from netsumm import summarize
-from netsumm.summarize import (AR2_THRESHOLD, RedundancyConfig,
-                               SelectionState, Summary, ar1_threshold,
+from netsumm.summarize import (AR2_THRESHOLD, PreparedCluster,
+                               RedundancyConfig, Summary, ar1_threshold,
                                ngram_sets, ngram_similarity, resolve_budget,
                                select, word_count)
 
@@ -66,8 +66,8 @@ def test_select_greedy_rank_order():
                  rec(1, 0, 1, "top ranked sentence here."),
                  rec(2, 1, 0, "second best sentence overall.")]
     ranking = CentralityResult("dg", [0.1, 0.9, 0.5], HIGHEST)
-    out = select(sentences, ranking, SummaryBudget("words", 8),
-                 RedundancyConfig())
+    out = select(util.prepared_for(sentences), ranking,
+                 SummaryBudget("words", 8), RedundancyConfig())
     assert out.selected == (1, 2)
     assert out.text == "top ranked sentence here. second best sentence overall."
     assert out.budget_used == 8
@@ -76,27 +76,29 @@ def test_select_greedy_rank_order():
 def test_select_lowest_direction_flips_order():
     sentences = [rec(0, 0, 0, "alpha beta."), rec(1, 1, 0, "gamma delta.")]
     ranking = CentralityResult("sp", [3.0, 1.0], LOWEST)
-    out = select(sentences, ranking, SummaryBudget("words", 2),
-                 RedundancyConfig())
+    out = select(util.prepared_for(sentences), ranking,
+                 SummaryBudget("words", 2), RedundancyConfig())
     assert out.selected == (1,)
 
 
 def test_select_tie_break_layer_then_position():
-    sentences = [rec(0, 1, 0, "from second layer."),
+    # node ids follow (layer, position), so ranked()'s id order is theirs
+    sentences = [rec(0, 0, 0, "first layer first."),
                  rec(1, 0, 1, "later in first."),
-                 rec(2, 0, 0, "first layer first.")]
-    ranking = CentralityResult("dg", [1.0, 1.0, 1.0], HIGHEST)
-    out = select(sentences, ranking, SummaryBudget("words", 20),
-                 RedundancyConfig())
-    assert out.selected == (2, 1, 0)
+                 rec(2, 1, 0, "from second layer."),
+                 rec(3, 1, 1, "later in second.")]
+    ranking = CentralityResult("dg", [1.0, 2.0, 1.0, 1.0], HIGHEST)
+    out = select(util.prepared_for(sentences), ranking,
+                 SummaryBudget("words", 20), RedundancyConfig())
+    assert out.selected == (1, 0, 2, 3)
 
 
 def test_select_skip_and_continue_on_budget():
     sentences = [rec(0, 0, 0, "this very long sentence would never fit."),
                  rec(1, 1, 0, "short one.")]
     ranking = CentralityResult("dg", [0.9, 0.1], HIGHEST)
-    out = select(sentences, ranking, SummaryBudget("words", 3),
-                 RedundancyConfig())
+    out = select(util.prepared_for(sentences), ranking,
+                 SummaryBudget("words", 3), RedundancyConfig())
     assert out.selected == (1,)
 
 
@@ -105,8 +107,8 @@ def test_select_chars_budget_counts_separators():
                  rec(2, 1, 1, "hi.")]
     ranking = CentralityResult("dg", [3.0, 2.0, 1.0], HIGHEST)
     # "abcd." (5) + " efg." (5) = 10; adding " hi." would need 4 more
-    out = select(sentences, ranking, SummaryBudget("chars", 12),
-                 RedundancyConfig())
+    out = select(util.prepared_for(sentences), ranking,
+                 SummaryBudget("chars", 12), RedundancyConfig())
     assert out.selected == (0, 1)
     assert out.budget_used == len(out.text) == 10
 
@@ -115,8 +117,8 @@ def test_select_never_picks_empty_token_sentences():
     sentences = [SentenceRecord(0, "d0", 0, 0, "Of the and.", ()),
                  rec(1, 1, 0, "real content here.")]
     ranking = CentralityResult("dg", [9.0, 1.0], HIGHEST)
-    out = select(sentences, ranking, SummaryBudget("words", 10),
-                 RedundancyConfig())
+    out = select(util.prepared_for(sentences), ranking,
+                 SummaryBudget("words", 10), RedundancyConfig())
     assert out.selected == (1,)
 
 
@@ -125,17 +127,8 @@ def test_select_empty_summary_when_nothing_fits():
                  rec(1, 1, 0, "neither does this second sentence here.")]
     ranking = CentralityResult("dg", [1.0, 0.5], HIGHEST)
     with pytest.raises(EmptySummary):
-        select(sentences, ranking, SummaryBudget("words", 3),
-               RedundancyConfig())
-
-
-def test_select_ar1_requires_vectors():
-    sentences = [rec(0, 0, 0, "a b."), rec(1, 1, 0, "c d.")]
-    ranking = CentralityResult("dg", [1.0, 0.5], HIGHEST)
-    for state in (None, SelectionState(sentences)):
-        with pytest.raises(InvalidInput):
-            select(sentences, ranking, SummaryBudget("words", 10),
-                   RedundancyConfig("AR1"), state)
+        select(util.prepared_for(sentences), ranking,
+               SummaryBudget("words", 3), RedundancyConfig())
 
 
 def test_select_ar1_skips_near_duplicates():
@@ -144,10 +137,10 @@ def test_select_ar1_skips_near_duplicates():
     a, b = pairs[0]
     ranking = util.ranking_preferring(records, [a, b])
     budget = SummaryBudget("words", 10_000)
-    plain = select(records, ranking, budget, RedundancyConfig())
+    prepared = util.prepared_for(records)
+    plain = select(prepared, ranking, budget, RedundancyConfig())
     assert a in plain.selected and b in plain.selected
-    out = select(records, ranking, budget, RedundancyConfig("AR1"),
-                 util.state_for(records))
+    out = select(prepared, ranking, budget, RedundancyConfig("AR1"))
     assert not (a in out.selected and b in out.selected)
 
 
@@ -156,8 +149,8 @@ def test_select_ar2_skips_near_duplicates():
     records, pairs = util.random_records(rng, dup_pairs=1)
     a, b = pairs[0]
     ranking = util.ranking_preferring(records, [a, b])
-    out = select(records, ranking, SummaryBudget("words", 10_000),
-                 RedundancyConfig("AR2"))
+    out = select(util.prepared_for(records), ranking,
+                 SummaryBudget("words", 10_000), RedundancyConfig("AR2"))
     assert not (a in out.selected and b in out.selected)
 
 
@@ -177,13 +170,13 @@ def test_ngram_similarity_with_prebuilt_sets():
 def test_selection_state_gives_the_same_summaries():
     rng = np.random.default_rng(53)
     records, _ = util.random_records(rng, n_sentences=14, dup_pairs=3)
-    state = util.state_for(records)
+    prepared = util.prepared_for(records)
     budget = SummaryBudget("words", 25)
     for ranking in _random_rankings(rng, records, 12):
         for red in (RedundancyConfig(), RedundancyConfig("AR1"),
                     RedundancyConfig("AR2")):
-            assert select(records, ranking, budget, red, state) == \
-                select(records, ranking, budget, red, util.state_for(records))
+            assert select(prepared, ranking, budget, red) == \
+                select(util.prepared_for(records), ranking, budget, red)
 
 
 def test_selection_state_computes_each_piece_once(monkeypatch):
@@ -197,11 +190,11 @@ def test_selection_state_computes_each_piece_once(monkeypatch):
         return similarity(a, b, grams)
 
     monkeypatch.setattr(summarize, "ngram_similarity", counted_similarity)
-    state = util.state_for(records)
+    prepared = util.prepared_for(records)
     budget = SummaryBudget("words", 10_000)
     for ranking in _random_rankings(rng, records, 20):
-        select(records, ranking, budget, RedundancyConfig("AR1"), state)
-        select(records, ranking, budget, RedundancyConfig("AR2"), state)
+        select(prepared, ranking, budget, RedundancyConfig("AR1"))
+        select(prepared, ranking, budget, RedundancyConfig("AR2"))
     assert calls
     assert len(calls) == len(set(calls))
 
@@ -211,18 +204,32 @@ def test_select_rejects_a_ranking_of_another_length():
                  rec(2, 1, 1, "epsilon zeta.")]
     ranking = CentralityResult("dg", [1.0, 0.5], HIGHEST)
     with pytest.raises(InvalidParameter, match="scores 2 nodes"):
-        select(sentences, ranking, SummaryBudget("words", 10),
-               RedundancyConfig())
+        select(util.prepared_for(sentences), ranking,
+               SummaryBudget("words", 10), RedundancyConfig())
 
 
-def test_select_rejects_a_state_of_other_sentences():
-    rng = np.random.default_rng(61)
-    records, _ = util.random_records(rng)
-    state = SelectionState(list(records))
-    ranking = util.ranking_preferring(records, [])
-    with pytest.raises(InvalidParameter):
-        select(records, ranking, SummaryBudget("words", 50),
-               RedundancyConfig(), state)
+def test_prepared_cluster_refuses_misnumbered_sentences():
+    sentences = [rec(0, 0, 0, "alpha beta."), rec(1, 0, 1, "gamma delta."),
+                 rec(2, 1, 0, "epsilon zeta.")]
+    base = util.prepared_for(sentences).base
+    assert PreparedCluster(sentences, base).records is sentences
+    refused = [
+        # ids that are not the node numbers
+        [rec(1, 0, 0, "alpha beta."), rec(2, 0, 1, "gamma delta."),
+         rec(3, 1, 0, "epsilon zeta.")],
+        # ids 0..n-1, but not in (layer, position) order
+        [rec(0, 1, 0, "alpha beta."), rec(1, 0, 1, "gamma delta."),
+         rec(2, 0, 0, "epsilon zeta.")],
+        [rec(0, 0, 1, "alpha beta."), rec(1, 0, 0, "gamma delta."),
+         rec(2, 1, 0, "epsilon zeta.")],
+        # a repeated (layer, position)
+        [rec(0, 0, 0, "alpha beta."), rec(1, 0, 0, "gamma delta."),
+         rec(2, 1, 0, "epsilon zeta.")],
+        # a base graph of another size
+        sentences[:2]]
+    for records in refused:
+        with pytest.raises(InvalidInput):
+            PreparedCluster(records, base)
 
 
 def test_word_count():
@@ -233,7 +240,9 @@ def test_word_count():
 def _greedy_by_any(sentences, ranking, budget, red, cosines):
     """select's rule as oracles.greedy_full_scan: sort by (snapped score,
     layer, position, id), resolve the budget and count each candidate's
-    words afresh, and test each candidate against every chosen sentence."""
+    words afresh, and test each candidate against every chosen sentence.
+    The key is ranked()'s node-id order for sentences numbered in (layer,
+    position) order, the only ones a PreparedCluster accepts."""
     by_id = {r.global_id: r for r in sentences}
     pos = {r.global_id: k for k, r in enumerate(sentences)}
     if red.method == "AR1":
@@ -283,10 +292,10 @@ TOKENS = st.lists(st.sampled_from(["river", "flood", "town", "storm", "crew"]),
 @st.composite
 def selection_cases(draw):
     n = draw(st.integers(1, 8))
-    ids = draw(st.permutations(range(10, 10 + n)))
+    layers = sorted(draw(st.lists(st.integers(0, 2), min_size=n,
+                                  max_size=n)))
     records, positions = [], {}
-    for gid in ids:
-        layer = draw(st.integers(0, 2))
+    for gid, layer in enumerate(layers):
         tokens = tuple(draw(TOKENS))
         # raw text may carry words the tokens dropped, or none at all
         raw = " ".join(draw(st.sampled_from([(), ("the",), ("of", "a")]))
@@ -318,9 +327,9 @@ def selection_cases(draw):
 @given(selection_cases())
 def test_select_matches_the_greedy_rule(case):
     records, cosines, calls = case
-    state = SelectionState(records, cosines)
+    prepared = util.prepared_for(records, cosines)
     for scores, direction, budget, red in calls:
         ranking = CentralityResult("dg", scores, direction)
-        assert _outcome(select, records, ranking, budget, red, state) \
+        assert _outcome(select, prepared, ranking, budget, red) \
             == _outcome(_greedy_by_any, records, ranking, budget, red,
                         cosines)

@@ -7,6 +7,7 @@ failing case can be replayed from its seed.
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,9 @@ import numpy as np
 import netsumm
 from netsumm import from_edges
 from netsumm.centrality import CentralityResult, HIGHEST
-from netsumm.graph import cosine_matrix
+from netsumm.graph import MultilayerGraph, cosine_matrix
 from netsumm.preprocess import SentenceRecord
-from netsumm.summarize import SelectionState
+from netsumm.summarize import PreparedCluster
 from netsumm.tfidf import fit, stack, vectorize
 
 WORDS = ("river", "flood", "rescue", "mayor", "storm", "bridge", "road",
@@ -85,7 +86,9 @@ def random_records(rng, n_docs=3, n_sentences=8, dup_pairs=1):
     """Synthetic SentenceRecords with planted duplicate pairs.
 
     Returns (records, pairs) where each pair is a (gid_a, gid_b) duplicate:
-    same surface text and same token tuple, different documents.
+    same surface text and same token tuple, different documents. The
+    records are numbered in (layer, position) order, as build_sentences
+    numbers them.
     """
     records = []
     gid = 0
@@ -107,7 +110,10 @@ def random_records(rng, n_docs=3, n_sentences=8, dup_pairs=1):
         pairs.append((src.global_id, gid))
         gid += 1
         positions[doc] += 1
-    return records, pairs
+    records.sort(key=lambda r: (r.layer_index, r.position_in_doc))
+    new_id = {r.global_id: k for k, r in enumerate(records)}
+    return ([replace(r, global_id=k) for k, r in enumerate(records)],
+            [(new_id[a], new_id[b]) for a, b in pairs])
 
 
 def vectors_for(records):
@@ -115,11 +121,14 @@ def vectors_for(records):
     return {r.global_id: vectorize(r, model) for r in records}
 
 
-def state_for(records):
-    """A SelectionState over records that holds their pairwise cosines, as
-    netsumm's own pipeline builds one."""
-    return SelectionState(records, cosine_matrix(
-        stack(list(vectors_for(records).values()))))
+def prepared_for(records, cosines=None):
+    """A PreparedCluster over records whose base graph holds `cosines`, by
+    default the records' pairwise tf-idf cosines as netsumm's own pipeline
+    computes them."""
+    if cosines is None:
+        cosines = cosine_matrix(stack(list(vectors_for(records).values())))
+    return PreparedCluster(records, MultilayerGraph(
+        cosines, np.array([r.layer_index for r in records])))
 
 
 def ranking_preferring(records, preferred, measure="dg"):
