@@ -21,7 +21,7 @@ from .errors import (ClusterTooSmall, ConvergenceError, CorpusFormatError,
                      InvalidInput, InvalidParameter, InvalidReference,
                      NetsummError, SingularMatrix)
 from .evaluate import (CorrelationMatrix, EvaluationReport, SweepGrid,
-                       grid_rankings, rouge1_recall, run_sweep,
+                       grid_summaries, rouge1_recall, run_sweep,
                        spearman_matrix)
 from .graph import (Edge, MultilayerGraph, apply_alpha, build, from_edges,
                     remove_weakest)

@@ -23,7 +23,7 @@ import numpy as np
 from . import evaluate, summarize
 from .corpus import (SUPPORTED_LANGUAGES, load_corpus, parse_budget,
                      parse_manifest)
-from .errors import NetsummError
+from .errors import NetsummError, attempt
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -195,35 +195,32 @@ def cmd_summarize(merged: dict) -> int:
         print(f"error: {where}: {exc}", file=sys.stderr)
 
     for cluster in clusters:
-        try:
-            prepared = summarize.prepare_cluster(cluster)
-        except NetsummError as exc:
-            fail(cluster.id, exc)
+        prepared = attempt(summarize.prepare_cluster, cluster)
+        if isinstance(prepared, NetsummError):
+            fail(cluster.id, prepared)
             continue
         # the kind the budget counts: a compression rate counts words
         kind, _ = prepared.budget_limit(cluster.budget)
         if merged.get("dump-sim"):
             _write_sim(target(f"{cluster.id}__sim.csv"), prepared)
-        for alpha, r, g, results in evaluate.grid_rankings(prepared, grid):
+        for alpha, r, g, cells in evaluate.grid_summaries(
+                prepared, grid, cluster.budget):
             if merged.get("dump-graph") and g is not None:
                 suffix = "" if r is None else f"__r{r:g}"
                 _write_edges(
                     target(f"{cluster.id}__a{alpha:g}{suffix}__edges.csv"), g)
-            for measure, ranking in results.items():
+            for measure, cell in cells.items():
                 stem = (f"{cluster.id}__{measure}__a{alpha:g}"
                         f"__r{evaluate.fmt_r(r)}")
-                if isinstance(ranking, NetsummError):
-                    fail(stem, ranking)
+                if isinstance(cell, NetsummError):
+                    fail(stem, cell)
                     continue
+                ranking, outcomes = cell
                 if merged.get("dump-scores"):
                     _write_scores(target(f"{stem}__scores.csv"), ranking)
-                for ard in grid.ards:
-                    try:
-                        summ = summarize.select(
-                            prepared, ranking, cluster.budget,
-                            summarize.RedundancyConfig(method=ard))
-                    except NetsummError as exc:
-                        fail(f"{stem}__{ard}", exc)
+                for ard, summ in outcomes:
+                    if isinstance(summ, NetsummError):
+                        fail(f"{stem}__{ard}", summ)
                         continue
                     path = target(f"{stem}__{ard}.txt")
                     evaluate.write_lines(path, [summ.text])

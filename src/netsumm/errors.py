@@ -55,3 +55,11 @@ class EmptySummary(NetsummError):
 
 class InvalidReference(NetsummError):
     """A reference summary is empty or tokenizes to nothing."""
+
+
+def attempt(fn, *args):
+    """fn(*args), or the NetsummError it raised."""
+    try:
+        return fn(*args)
+    except NetsummError as exc:
+        return exc

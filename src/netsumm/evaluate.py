@@ -1,13 +1,15 @@
 """ROUGE-1 recall scoring, the (alpha, r) sweep, and rank correlations.
 
-grid_rankings is the one walk over the (alpha, r, measure) grid: it derives
-each alpha-scaled and each thresholded graph once and ranks it with the
-grid's measures. `summarize` writes files from its output and the sweep
-scores it. The sweep evaluates every admissible (measure, alpha, r,
-anti-redundancy) cell over all clusters of a corpus. Weighted-graph
-measures do not use the edge-removal fraction r and occupy a single "--"
-row per alpha; unweighted measures run once per r. Per-cluster failures
-become skip notes on the cell, never an abort.
+grid_summaries is the one walk over the (alpha, r, measure, anti-redundancy)
+grid and the one caller of select: it derives each alpha-scaled and each
+thresholded graph once, ranks it with the grid's measures and selects each
+ranking's summaries when the consumer reaches them. A step that fails
+yields its NetsummError in place of its value. `summarize` writes files
+from the walk and the sweep scores it. The sweep evaluates every
+admissible (measure, alpha, r, anti-redundancy) cell over all clusters of
+a corpus. Weighted-graph measures do not use the edge-removal fraction r
+and occupy a single "--" row per alpha; unweighted measures run once per
+r. Per-cluster failures become skip notes on the cell, never an abort.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 from . import centrality, graph, summarize
 from .centrality import ALL_MEASURES, WEIGHTED_MEASURES
 from .corpus import Cluster
-from .errors import InvalidParameter, InvalidReference, NetsummError
+from .errors import (InvalidParameter, InvalidReference, NetsummError,
+                     attempt)
 
 _ROUGE_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -204,67 +207,65 @@ def _corr_point(grid: SweepGrid) -> tuple:
     return alpha, r
 
 
-def _corr_labels(grid: SweepGrid) -> tuple:
-    """The measures the correlations cover, in grid order: all but
-    sym_low, whose ranking reverses sym's scores."""
-    return tuple(m for m in grid.measures if m != "sym_low")
-
-
-def _corr_snapshot(labels: tuple, results: dict) -> CorrelationMatrix | None:
-    """Spearman matrix over `labels`; a measure missing from results (its
-    ranking failed) gets NaN correlations."""
+def _corr_snapshot(grid: SweepGrid, results: dict) -> CorrelationMatrix:
+    """Spearman matrix over the grid's measures in grid order, all but
+    sym_low, whose ranking reverses sym's scores; a measure missing from
+    results (its ranking failed) gets NaN correlations."""
+    labels = tuple(m for m in grid.measures if m != "sym_low")
     present = [results[m] for m in labels if m in results]
-    if len(present) < 2:
-        return None
-    corr = spearman_matrix(present)
-    if len(present) == len(labels):
-        return corr
     values = np.full((len(labels), len(labels)), np.nan)
     np.fill_diagonal(values, 1.0)
     idx = [labels.index(res.measure) for res in present]
-    values[np.ix_(idx, idx)] = corr.values
+    values[np.ix_(idx, idx)] = spearman_matrix(present).values
     return CorrelationMatrix(labels, values)
 
 
-def grid_rankings(prepared: summarize.PreparedCluster, grid: SweepGrid):
-    """Every ranking of one cluster over the grid, one graph at a time.
+def grid_summaries(prepared: summarize.PreparedCluster, grid: SweepGrid,
+                   budget):
+    """Every ranking and summary of one cluster over the grid, one graph at
+    a time.
 
-    Per alpha, yields (alpha, None, g_alpha, {weighted measure: result});
-    then, if the grid has an unweighted measure, (alpha, r, g_r,
-    {unweighted measure: result}) for each r. A result is the measure's
-    CentralityResult or the NetsummError it raised. An alpha that
-    apply_alpha refuses on this cluster yields its error as every result
-    of that alpha, with None for the graph. sym reads edge presence only,
+    Per alpha, yields (alpha, None, g_alpha, cells) for the weighted
+    measures; then, if the grid has an unweighted measure, (alpha, r, g_r,
+    cells) for each r. cells maps each measure to the NetsummError its
+    ranking raised, or to (ranking, outcomes): outcomes yields (ard,
+    Summary or the NetsummError select raised) per anti-redundancy mode of
+    the grid, selecting each only when it is reached. An alpha that
+    apply_alpha refuses on this cluster yields its error as every cell of
+    that alpha, with None for the graph. sym reads edge presence only,
     which alpha leaves as it is, so it is computed once, from the base
     graph.
     """
-    def rank(measure, g):
-        try:
-            return centrality.compute(measure, g, grid.h)
-        except NetsummError as exc:
-            return exc
+    def outcomes(ranking):
+        for ard in grid.ards:
+            yield ard, attempt(summarize.select, prepared, ranking, budget,
+                               summarize.RedundancyConfig(ard))
+
+    def cell(measure, g):
+        if isinstance(g, NetsummError):
+            return g
+        ranking = alpha_free[measure] if measure in alpha_free \
+            else attempt(centrality.compute, measure, g, grid.h)
+        if isinstance(ranking, NetsummError):
+            return ranking
+        return ranking, outcomes(ranking)
 
     weighted = [m for m in grid.measures if m in WEIGHTED_MEASURES]
     unweighted = [m for m in grid.measures if m not in WEIGHTED_MEASURES]
     alpha_free = {}
     if {"sym", "sym_low"} & set(grid.measures):
-        sym = rank("sym", prepared.base)
+        sym = attempt(centrality.compute, "sym", prepared.base, grid.h)
         alpha_free = {"sym": sym, "sym_low": sym if isinstance(
             sym, NetsummError) else centrality.sym_low_from(sym)}
     for alpha in grid.alphas:
-        try:
-            g_alpha = graph.apply_alpha(prepared.base, alpha)
-        except NetsummError as exc:
-            yield alpha, None, None, dict.fromkeys(weighted, exc)
-            for r in grid.rs if unweighted else ():
-                yield alpha, r, None, dict.fromkeys(unweighted, exc)
-            continue
-        yield alpha, None, g_alpha, {
-            m: alpha_free[m] if m in alpha_free else rank(m, g_alpha)
-            for m in weighted}
+        g_alpha = attempt(graph.apply_alpha, prepared.base, alpha)
+        refused = isinstance(g_alpha, NetsummError)
+        yield alpha, None, None if refused else g_alpha, {
+            m: cell(m, g_alpha) for m in weighted}
         for r in grid.rs if unweighted else ():
-            g_r = graph.remove_weakest(g_alpha, r)
-            yield alpha, r, g_r, {m: rank(m, g_r) for m in unweighted}
+            g_r = g_alpha if refused else graph.remove_weakest(g_alpha, r)
+            yield alpha, r, None if refused else g_r, {
+                m: cell(m, g_r) for m in unweighted}
 
 
 def _skip(exc: NetsummError) -> str:
@@ -274,50 +275,45 @@ def _skip(exc: NetsummError) -> str:
 def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, aggregate: str
                       ) -> tuple:
     """All cell scores for one cluster: ({(measure, alpha, r, ard):
-    (score|None, note)}, CorrelationMatrix|None)."""
-    try:
-        prepared = summarize.prepare_cluster(cluster)
-    except NetsummError as exc:
-        return {key: (None, _skip(exc)) for key in grid.cells()}, None
+    (score|None, note)}, CorrelationMatrix)."""
+    prepared = attempt(summarize.prepare_cluster, cluster)
+    if isinstance(prepared, NetsummError):
+        return ({key: (None, _skip(prepared)) for key in grid.cells()},
+                _corr_snapshot(grid, {}))
 
-    try:
-        references = RougeReferences(cluster.references)
-    except NetsummError as exc:
-        references, unscorable = None, (None, _skip(exc))
-    else:
+    references = attempt(RougeReferences, cluster.references)
+    if not isinstance(references, NetsummError):
         # each sentence's count row; a summary's text joins its sentences
         # with spaces, so its row is the sum of theirs
         sentence_rows = np.array([references.counts(rouge_tokens(
             rec.raw_text)) for rec in prepared.records])
-    scored = {}  # Summary.selected -> (its ROUGE-1 recall, note)
+    scored = {}  # Summary.selected -> its ROUGE-1 recall
+
+    def score(summary) -> tuple:
+        if isinstance(summary, NetsummError):
+            return None, _skip(summary)
+        if isinstance(references, NetsummError):
+            return None, _skip(references)
+        if summary.selected not in scored:
+            scored[summary.selected] = references.recall(
+                sentence_rows[list(summary.selected)].sum(axis=0), aggregate)
+        return scored[summary.selected], ""
+
     cells = {}
     corr_alpha, corr_r = _corr_point(grid)
     corr_results = {}
-    for alpha, r, _, results in grid_rankings(prepared, grid):
-        for measure, ranking in results.items():
-            if isinstance(ranking, NetsummError):
-                for ard in grid.ards:
-                    cells[(measure, alpha, r, ard)] = (None, _skip(ranking))
-                continue
-            if alpha == corr_alpha and r in (None, corr_r):
-                corr_results[measure] = ranking
-            for ard in grid.ards:
-                try:
-                    selected = summarize.select(
-                        prepared, ranking, cluster.budget,
-                        summarize.RedundancyConfig(method=ard)).selected
-                except NetsummError as exc:
-                    cells[(measure, alpha, r, ard)] = (None, _skip(exc))
-                    continue
-                if references is None:
-                    scored[selected] = unscorable
-                elif selected not in scored:
-                    scored[selected] = (references.recall(
-                        sentence_rows[list(selected)].sum(axis=0),
-                        aggregate), "")
-                cells[(measure, alpha, r, ard)] = scored[selected]
-
-    return cells, _corr_snapshot(_corr_labels(grid), corr_results)
+    for alpha, r, _, results in grid_summaries(prepared, grid,
+                                               cluster.budget):
+        for measure, cell in results.items():
+            if isinstance(cell, NetsummError):
+                outcomes = [(ard, cell) for ard in grid.ards]
+            else:
+                ranking, outcomes = cell
+                if alpha == corr_alpha and r in (None, corr_r):
+                    corr_results[measure] = ranking
+            for ard, outcome in outcomes:
+                cells[(measure, alpha, r, ard)] = score(outcome)
+    return cells, _corr_snapshot(grid, corr_results)
 
 
 def check_sweep_options(aggregate: str, jobs: int) -> None:
@@ -371,20 +367,12 @@ def run_sweep(clusters: list, grid: SweepGrid = SweepGrid(),
         if candidates:
             best.append(max(candidates, key=lambda row: row.rouge1))
 
-    matrices = [corr for _, corr in evaluated if corr is not None]
-    correlations = _average_correlations(matrices, grid)
+    correlations = _average_correlations([corr for _, corr in evaluated])
     return EvaluationReport(tuple(rows), cluster_ids, correlations,
                             tuple(best))
 
 
-def _average_correlations(matrices: list, grid: SweepGrid
-                          ) -> CorrelationMatrix:
-    labels = _corr_labels(grid)
-    k = len(labels)
-    if not matrices:
-        values = np.full((k, k), np.nan)
-        np.fill_diagonal(values, 1.0)
-        return CorrelationMatrix(labels, values)
+def _average_correlations(matrices: list) -> CorrelationMatrix:
     stack = np.stack([m.values for m in matrices])
     # np.nanmean's arithmetic, but a pair NaN in every cluster stays NaN
     # without a "Mean of empty slice" warning
@@ -394,7 +382,7 @@ def _average_correlations(matrices: list, grid: SweepGrid
     values = np.divide(totals, counts, out=np.full(totals.shape, np.nan),
                        where=counts > 0)
     np.fill_diagonal(values, 1.0)
-    return CorrelationMatrix(labels, values)
+    return CorrelationMatrix(matrices[0].labels, values)
 
 
 # ---------------------------------------------------------------------------

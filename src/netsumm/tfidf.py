@@ -1,8 +1,9 @@
 """tf-idf sentence vectors and cosine similarity.
 
 tf is the within-sentence relative frequency; idf = ln(n_docs / df) + 1
-where df counts the distinct documents of the cluster containing the term.
-Since df <= n_docs, idf >= 1 and all weights are non-negative.
+where df counts the documents (layers, not file stems) of the cluster that
+contain the term. Since df <= n_docs, idf >= 1 and all weights are
+non-negative.
 
 A cluster's vectors are computed together, as flat arrays (ClusterVectors);
 vectorize is the one-sentence case of the same computation.
@@ -42,7 +43,7 @@ def fit(sentences: list, n_docs: int) -> TfIdfModel:
     """Build vocabulary and document frequencies from one cluster."""
     doc_terms = {}
     for rec in sentences:
-        doc_terms.setdefault(rec.doc_id, set()).update(rec.tokens)
+        doc_terms.setdefault(rec.layer_index, set()).update(rec.tokens)
     doc_freq = Counter(chain.from_iterable(doc_terms.values()))
     if not doc_freq:
         raise DegenerateCluster("no terms: cannot fit a tf-idf model")

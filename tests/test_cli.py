@@ -604,6 +604,38 @@ def test_underflowing_alpha_exits_1_before_writing(toy_path, tmp_path,
     assert not out.exists()
 
 
+def test_summarize_reports_a_ranking_once_and_a_summary_per_ard(
+        toy_path, tmp_path, capsys):
+    ards = ["none", "AR1", "AR2"]
+    out = tmp_path / "out"
+    assert main(["summarize", "--corpus", str(toy_path), "--out", str(out),
+                 "--alpha", "5e-324,1", "--r", "0.2", "--measure", "dg,stg",
+                 "--ard", ",".join(ards)]) == 1
+    captured = capsys.readouterr()
+    # one line per failing (measure, alpha, r), not one per ard
+    assert [line.split(": ")[1] for line in captured.err.splitlines()] == [
+        f"{cid}__{measure}__a{5e-324:g}__r{r}"
+        for cid in ("c01", "c02") for measure, r in (("stg", "--"),
+                                                     ("dg", "0.2"))]
+    # written in walk order: cluster, alpha, r (weighted first), measure, ard
+    assert [line.split()[1] for line in captured.out.splitlines()] == [
+        str(out / f"{cid}__{stem}__{ard}.txt") for cid in ("c01", "c02")
+        for stem in ("stg__a1__r--", "dg__a1__r0.2") for ard in ards]
+
+    # a summary that nothing fits fails on its own line, named by its ard
+    out = tmp_path / "short"
+    assert main(["summarize", "--corpus", str(toy_path), "--out", str(out),
+                 "--measure", "dg", "--ard", ",".join(ards),
+                 "--budget", "words:2"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[1] for line in lines] == [
+        f"{cid}__dg__a1__r0.2__{ard}" for cid in ("c01", "c02")
+        for ard in ards]
+    assert all(line.endswith("no sentence fits the words budget of 2")
+               for line in lines)
+    assert not out.exists()
+
+
 def test_evaluate_skips_the_cells_of_an_underflowing_alpha(toy_path,
                                                            tmp_path):
     out = tmp_path / "out"

@@ -13,11 +13,11 @@ from netsumm.errors import (ConvergenceError, InvalidParameter,
                             InvalidReference, SingularMatrix)
 from netsumm.evaluate import (DEFAULT_ALPHAS, DEFAULT_RS, CorrelationMatrix,
                               EvaluationReport, SweepGrid, SweepRow,
-                              _corr_point, grid_rankings, rouge1_recall,
+                              _corr_point, grid_summaries, rouge1_recall,
                               rouge_tokens, run_sweep, spearman_matrix,
                               write_best_csv, write_correlations_csv,
                               write_curves, write_report_csv)
-from netsumm.summarize import prepare_cluster
+from netsumm.summarize import Summary, prepare_cluster
 
 SMALL = SweepGrid(alphas=(1.0,), rs=(0.2,), measures=("dg", "stg"),
                   ards=("none",))
@@ -396,27 +396,30 @@ def test_prepared_records_are_numbered_by_position(toy_corpus):
         assert [rec.global_id for rec in records] == list(range(len(records)))
 
 
-def test_grid_rankings_yields_each_graph_once(toy_corpus):
+def test_grid_summaries_yields_each_graph_once(toy_corpus):
     prepared = prepare_cluster(toy_corpus[0])
     grid = SweepGrid(alphas=(0.5, 1.9), rs=(0.1, 0.3),
                      measures=("dg", "stg", "sym", "access"), ards=("none",),
                      h=9)
-    groups = list(grid_rankings(prepared, grid))
-    assert [(alpha, r, g.weighted, list(results))
-            for alpha, r, g, results in groups] == [
+    groups = list(grid_summaries(prepared, grid, toy_corpus[0].budget))
+    assert [(alpha, r, g.weighted, list(cells))
+            for alpha, r, g, cells in groups] == [
         (0.5, None, True, ["stg", "sym"]),
         (0.5, 0.1, False, ["dg", "access"]),
         (0.5, 0.3, False, ["dg", "access"]),
         (1.9, None, True, ["stg", "sym"]),
         (1.9, 0.1, False, ["dg", "access"]),
         (1.9, 0.3, False, ["dg", "access"])]
-    assert groups[0][3]["sym"] is groups[3][3]["sym"]  # once per cluster
+    assert groups[0][3]["sym"][0] is groups[3][3]["sym"][0]  # once per cluster
     # a failing measure yields its error; the others still rank
     assert isinstance(groups[1][3]["access"], InvalidParameter)
-    assert isinstance(groups[1][3]["dg"], CentralityResult)
+    ranking, outcomes = groups[1][3]["dg"]
+    assert isinstance(ranking, CentralityResult)
+    [(ard, summary)] = outcomes
+    assert ard == "none" and isinstance(summary, Summary)
 
 
-def test_grid_rankings_computes_hops_once_per_graph(toy_corpus, monkeypatch):
+def test_grid_summaries_computes_hops_once_per_graph(toy_corpus, monkeypatch):
     hop_matrix, counted = graph._hop_matrix, []
 
     def counting(adjacency):
@@ -427,8 +430,8 @@ def test_grid_rankings_computes_hops_once_per_graph(toy_corpus, monkeypatch):
     prepared = prepare_cluster(toy_corpus[0])
     grid = SweepGrid(alphas=(0.5, 1.9), rs=(0.1, 0.3),
                      measures=("sp", "absT", "sym", "sp_w"), ards=("none",))
-    for *_, results in grid_rankings(prepared, grid):
-        assert all(isinstance(res, CentralityResult)
-                   for res in results.values())
+    for *_, cells in grid_summaries(prepared, grid, toy_corpus[0].budget):
+        assert all(isinstance(cell[0], CentralityResult)
+                   for cell in cells.values())
     # sym's on the base graph, then sp and absT share each thresholded one
     assert len(counted) == 1 + 2 * 2

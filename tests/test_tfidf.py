@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 import oracles
+from netsumm.corpus import load_cluster
 from netsumm.errors import DegenerateCluster
-from netsumm.preprocess import SentenceRecord
+from netsumm.preprocess import SentenceRecord, build_sentences, load_resources
 from netsumm.tfidf import cosine, fit, vectorize, vectorize_all
 
 
 def rec(gid, doc, tokens):
-    return SentenceRecord(gid, doc, 0, gid, " ".join(tokens), tuple(tokens))
+    # document "d<k>" is layer k
+    return SentenceRecord(gid, doc, int(doc[1:]), gid, " ".join(tokens),
+                          tuple(tokens))
 
 
 def test_fit_vocabulary_and_doc_freq():
@@ -22,6 +25,24 @@ def test_fit_vocabulary_and_doc_freq():
     assert list(model.vocabulary.values()) == [0, 1, 2]
     # df counts distinct documents, not sentences
     assert model.doc_freq == {"river": 1, "flood": 2, "rain": 2}
+
+
+def test_doc_freq_counts_documents_that_share_a_stem(tmp_path):
+    # a.txt and a.md have the same stem, so the same doc_id, yet they are
+    # two documents (two layers) of the cluster
+    cdir = tmp_path / "c1"
+    (cdir / "docs").mkdir(parents=True)
+    (cdir / "manifest").write_text("budget = words:20\n", encoding="utf-8")
+    for name, text in (("a.txt", "The cat sat."), ("a.md", "A cat ran."),
+                       ("b.txt", "The cat slept.")):
+        (cdir / "docs" / name).write_text(text, encoding="utf-8")
+    cluster = load_cluster(cdir)
+    records = build_sentences(cluster, load_resources("en"))
+    assert len({r.doc_id for r in records}) == 2
+    model = fit(records, len(cluster.documents))
+    assert model.n_docs == 3
+    assert model.doc_freq["cat"] == 3
+    assert model.idf("cat") == 1.0
 
 
 def test_idf_formula():

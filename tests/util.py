@@ -117,7 +117,7 @@ def random_records(rng, n_docs=3, n_sentences=8, dup_pairs=1):
 
 
 def vectors_for(records):
-    model = fit(records, len({r.doc_id for r in records}))
+    model = fit(records, len({r.layer_index for r in records}))
     return {r.global_id: vectorize(r, model) for r in records}
 
 
