@@ -461,29 +461,24 @@ def compute(measure: str, g: MultilayerGraph, h: int = 2) -> CentralityResult:
     """Compute one measure by id on the given graph; h is the walk length
     or level depth of access, sym and sym_low.
 
-    The caller is responsible for passing the right graph variant (weighted
-    for WEIGHTED_MEASURES, r-thresholded for UNWEIGHTED_MEASURES).
+    WEIGHTED_MEASURES read a weighted graph and UNWEIGHTED_MEASURES an
+    r-thresholded one (g.weighted False); InvalidParameter otherwise.
     """
-    if measure == "dg":
-        return degree(g)
-    if measure == "stg":
-        return strength(g)
-    if measure == "sp":
-        return avg_shortest_path(g, weighted=False)
-    if measure == "sp_w":
-        return avg_shortest_path(g, weighted=True)
-    if measure == "pr":
-        return pagerank(g, weighted=False)
-    if measure == "pr_w":
-        return pagerank(g, weighted=True)
-    if measure == "access":
-        return accessibility(g, h)
-    if measure == "gAccess":
-        return generalized_accessibility(g)
-    if measure == "sym":
-        return symmetry(g, h)
-    if measure == "sym_low":
-        return sym_low_from(symmetry(g, h))
-    if measure == "absT":
-        return absorption_time(g)
-    raise InvalidParameter(f"unknown measure {measure!r}")
+    run = {"dg": lambda: degree(g),
+           "stg": lambda: strength(g),
+           "sp": lambda: avg_shortest_path(g, weighted=False),
+           "sp_w": lambda: avg_shortest_path(g, weighted=True),
+           "pr": lambda: pagerank(g, weighted=False),
+           "pr_w": lambda: pagerank(g, weighted=True),
+           "access": lambda: accessibility(g, h),
+           "gAccess": lambda: generalized_accessibility(g),
+           "sym": lambda: symmetry(g, h),
+           "sym_low": lambda: sym_low_from(symmetry(g, h)),
+           "absT": lambda: absorption_time(g)}
+    if measure not in run:
+        raise InvalidParameter(f"unknown measure {measure!r}")
+    kinds = {True: "weighted", False: "unweighted"}
+    if g.weighted != (measure in WEIGHTED_MEASURES):
+        raise InvalidParameter(f"{measure} reads {kinds[not g.weighted]} "
+                               f"graphs, not {kinds[g.weighted]} ones")
+    return run[measure]()

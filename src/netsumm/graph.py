@@ -66,32 +66,34 @@ class MultilayerGraph:
         return tuple(starmap(Edge, self.edge_rows()))
 
 
+def shared_key_pairs(keys: np.ndarray) -> tuple:
+    """(first, second): each index pair first < second of two entries of
+    `keys` (sorted ascending) that hold the same key, once, in that order."""
+    total = len(keys)
+    # each entry pairs with the entries after it that hold its key
+    later = np.searchsorted(keys, keys, side="right") - np.arange(total) - 1
+    first = np.repeat(np.arange(total), later)
+    run_start = np.repeat(np.cumsum(later) - later, later)
+    return first, first + 1 + np.arange(len(first)) - run_start
+
+
 def cosine_matrix(vectors: tfidf.ClusterVectors) -> np.ndarray:
     """Pairwise tfidf.cosine of the vectors, zero diagonal, bit for bit.
 
-    The dot products come from the per-term postings: each term pairs every
-    two sentences that hold it. np.bincount sums each pair's term products
-    from 0.0 in posting order, which is cosine's correctly rounded fsum for
-    a pair sharing one or two terms; a pair sharing three or more gets
-    math.fsum of its products. Only the pairs that share a term are
-    divided by their norms.
+    The dot products come from the per-term postings: shared_key_pairs
+    pairs every two sentences that hold a term. np.bincount sums each
+    pair's term products from 0.0 in posting order, which is cosine's
+    correctly rounded fsum for a pair sharing one or two terms; a pair
+    sharing three or more gets math.fsum of its products. Only the pairs
+    that share a term are divided by their norms.
     """
     n = len(vectors.norms)
     if (vectors.weight <= 0).any():
         raise InvalidInput("tf-idf weights must be positive")
     # postings: entries grouped by term, sentences ascending within a term
     order = np.argsort(vectors.term, kind="stable")
-    terms, weights = vectors.term[order], vectors.weight[order]
-    sentence = vectors.sentence[order]
-    total = len(terms)
-    starts = np.flatnonzero(np.diff(terms, prepend=-1))
-    ends = np.append(starts[1:], total)
-    # each entry pairs with the entries after it in its posting
-    later = np.repeat(ends, ends - starts) - np.arange(total) - 1
-    first = np.repeat(np.arange(total), later)
-    offset = np.arange(len(first)) - np.repeat(np.cumsum(later) - later,
-                                               later)
-    second = first + 1 + offset
+    weights, sentence = vectors.weight[order], vectors.sentence[order]
+    first, second = shared_key_pairs(vectors.term[order])
     # key u * n + v, u < v: row u, column v of the upper triangle
     keys = sentence[first] * n + sentence[second]
     products = weights[first] * weights[second]

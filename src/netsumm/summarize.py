@@ -11,11 +11,11 @@ which is the sentences' (layer, position) order. What select needs beyond
 the ranking does not change across the cells of a sweep: each sentence's
 word and character counts, each resolved budget, and per anti-redundancy
 method a boolean matrix of which sentence a chosen one blocks. A
-PreparedCluster holds these with the cluster's sentences and base graph
-and computes each piece once. AR1's matrix is the pairwise cosines (the
-weights of the base graph) above L1; AR2's fills a row the first time its
-sentence is chosen. Both tests are symmetric, so a candidate is skipped
-exactly when some chosen sentence's row blocks it.
+PreparedCluster holds these with the cluster's sentences and base graph,
+computes each piece once, and builds a method's matrix the first time
+select asks for it: AR1's from the base graph's cosines, AR2's from the
+k-grams that each two sentences share. Both tests are symmetric, so a
+candidate is skipped exactly when some chosen sentence's row blocks it.
 """
 
 from __future__ import annotations
@@ -67,26 +67,53 @@ def _ngrams(tokens, k: int) -> set:
     return {tuple(tokens[i:i + k]) for i in range(len(tokens) - k + 1)}
 
 
-def ngram_sets(tokens) -> tuple:
-    """The k-gram sets of tokens for each order k that AR2_WEIGHTS weighs."""
-    return tuple(_ngrams(tokens, k) for k in range(1, len(AR2_WEIGHTS) + 1))
-
-
-def ngram_similarity(a: SentenceRecord, b: SentenceRecord,
-                     grams: tuple | None = None) -> float:
-    """Jaccard agreement of the k-gram sets, weighted by AR2_WEIGHTS.
-
-    grams: the pair's ngram_sets, when already built.
-    """
-    if grams is None:
-        grams = (ngram_sets(a.tokens), ngram_sets(b.tokens))
+def ngram_similarity(a: SentenceRecord, b: SentenceRecord) -> float:
+    """Jaccard agreement of the k-gram sets, weighted by AR2_WEIGHTS."""
     total = 0.0
-    for weight, ga, gb in zip(AR2_WEIGHTS, *grams):
+    for k, weight in enumerate(AR2_WEIGHTS, 1):
+        ga, gb = _ngrams(a.tokens, k), _ngrams(b.tokens, k)
         common = len(ga & gb)
         union = len(ga) + len(gb) - common
         if union:
             total += weight * common / union
     return total
+
+
+def ar1_blocks(cosines: np.ndarray) -> np.ndarray:
+    """AR1's matrix: the cosines above ar1_threshold of the pairs i < j."""
+    return cosines > ar1_threshold(cosines[np.triu_indices(len(cosines), 1)])
+
+
+def ar2_blocks(records: list) -> np.ndarray:
+    """AR2's matrix: entry (i, j) is i != j and ngram_similarity(records[i],
+    records[j]) > AR2_THRESHOLD, bit for bit: the orders add into one total
+    in AR2_WEIGHTS order, and a pair sharing no k-gram adds nothing. A
+    k-gram's id is that of the (k-1)-gram and the token after it,
+    renumbered densely, so no key outgrows the token count squared."""
+    n = len(records)
+    vocab = {}
+    grams = tokens = np.array([vocab.setdefault(t, len(vocab)) for rec in
+                               records for t in rec.tokens], dtype=np.int64)
+    lengths = np.array([len(rec.tokens) for rec in records], dtype=np.int64)
+    sentence = np.repeat(np.arange(n), lengths)
+    # tokens from each position to the end of its sentence
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(tokens))
+    total = np.zeros(n * n)  # entry i * n + j, i < j
+    for k, weight in enumerate(AR2_WEIGHTS, 1):
+        if k > 1:
+            grams = np.unique(grams[:-1] * len(vocab) + tokens[k - 1:],
+                              return_inverse=True)[1]
+        held = left[:len(grams)] >= k
+        entries = np.unique(grams[held] * n + sentence[:len(grams)][held])
+        gram, owner = np.divmod(entries, n)
+        first, second = graph.shared_key_pairs(gram)
+        pairs, common = np.unique(owner[first] * n + owner[second],
+                                  return_counts=True)
+        size = np.bincount(owner, minlength=n)
+        u, v = np.divmod(pairs, n)
+        total[pairs] += weight * common / (size[u] + size[v] - common)
+    blocks = (total > AR2_THRESHOLD).reshape(n, n)
+    return blocks | blocks.T
 
 
 class PreparedCluster:
@@ -97,8 +124,7 @@ class PreparedCluster:
     position) strictly increases along the records, so ranked()'s node-id
     order among tied scores is the sentences' order in the cluster; raises
     InvalidInput otherwise. base.W holds every pairwise tf-idf cosine,
-    which AR1 reads. Row k of a redundancy matrix marks the sentences that
-    sentence k blocks.
+    which AR1 reads.
     """
 
     def __init__(self, records: list, base: graph.MultilayerGraph):
@@ -122,8 +148,7 @@ class PreparedCluster:
             "words": min((self.words[k] for k in usable), default=0),
             "chars": min((self.chars[k] for k in usable), default=0) + 1}
         self._budgets = {}
-        self._ar1 = None
-        self._ar2 = None
+        self._blocks = {}
 
     def budget_limit(self, budget: SummaryBudget) -> tuple:
         """resolve_budget over these sentences."""
@@ -131,38 +156,16 @@ class PreparedCluster:
             self._budgets[budget] = resolve_budget(budget, self.records)
         return self._budgets[budget]
 
-    def redundancy_rows(self, red: RedundancyConfig):
-        """rows(k) -> the boolean row of sentences that `red` skips once
-        sentence k is chosen; None for method "none"."""
+    def blocks(self, red: RedundancyConfig):
+        """The boolean matrix whose row k marks the sentences that `red`
+        skips once sentence k is chosen, built on first use; None for
+        method "none"."""
         if red.method == "none":
             return None
-        n = len(self.records)
-        if red.method == "AR1":
-            if self._ar1 is None:
-                cosines = self.base.W
-                self._ar1 = cosines > ar1_threshold(
-                    cosines[np.triu_indices(n, 1)])
-            return self._ar1.__getitem__
-        if self._ar2 is None:
-            self._ar2 = (np.zeros((n, n), dtype=bool), np.zeros(n, dtype=bool),
-                         [ngram_sets(rec.tokens) for rec in self.records])
-        blocks, filled, grams = self._ar2
-
-        def rows(k: int) -> np.ndarray:
-            if not filled[k]:
-                # the similarity is symmetric: copy the filled rows' entries
-                # and compare with the rest; sentences without tokens are
-                # never candidates and stay unblocked
-                a = self.records[k]
-                for j, b in enumerate(self.records):
-                    if filled[j]:
-                        blocks[k, j] = blocks[j, k]
-                    elif j != k and b.tokens:
-                        blocks[k, j] = ngram_similarity(
-                            a, b, (grams[k], grams[j])) > AR2_THRESHOLD
-                filled[k] = True
-            return blocks[k]
-        return rows
+        if red.method not in self._blocks:
+            self._blocks[red.method] = ar1_blocks(self.base.W) \
+                if red.method == "AR1" else ar2_blocks(self.records)
+        return self._blocks[red.method]
 
 
 def prepare_cluster(cluster: Cluster) -> PreparedCluster:
@@ -208,7 +211,7 @@ def select(prepared: PreparedCluster, ranking: CentralityResult,
     if n != len(records):
         raise InvalidParameter(
             f"{ranking.measure} scores {n} nodes, not {len(records)}")
-    rows = prepared.redundancy_rows(red)
+    blocks = prepared.blocks(red)
     kind, limit = prepared.budget_limit(budget)
     costs = prepared.words if kind == "words" else prepared.chars
     least = prepared.least_cost[kind]
@@ -226,8 +229,8 @@ def select(prepared: PreparedCluster, ranking: CentralityResult,
         used += cost
         if limit - used < least:
             break  # no later candidate fits
-        if rows is not None:
-            blocked |= rows(k)
+        if blocks is not None:
+            blocked |= blocks[k]
     if not chosen:
         raise EmptySummary(
             f"no sentence fits the {kind} budget of {limit}")

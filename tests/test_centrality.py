@@ -476,13 +476,38 @@ def test_row_diversity_matches_true_diversity():
     assert _row_diversity(np.array([[0.0, 1.0]])).tolist() == [1.0]
 
 
+def _of_its_kind(measure, g):
+    """g as the kind of graph that `measure` reads: an unweighted measure
+    gets remove_weakest(g, 0), and a weighted one gets the 0/1 weights
+    that an unweighted graph's measures read."""
+    if measure in WEIGHTED_MEASURES:
+        return g if g.weighted else MultilayerGraph((g.W > 0) * 1.0, g.layers)
+    return remove_weakest(g, 0) if g.weighted else g
+
+
 def test_compute_registry_dispatch():
     for measure in ALL_MEASURES:
-        res = compute(measure, CYCLE4)
+        res = compute(measure, _of_its_kind(measure, CYCLE4))
         assert res.measure == measure
         assert res.scores.shape == (4,)
-    assert compute("sp", CYCLE4).direction == LOWEST
-    assert compute("dg", CYCLE4).direction == HIGHEST
+    assert compute("sp", _of_its_kind("sp", CYCLE4)).direction == LOWEST
+    assert compute("dg", _of_its_kind("dg", CYCLE4)).direction == HIGHEST
+
+
+@pytest.mark.parametrize("measure", WEIGHTED_MEASURES)
+def test_compute_refuses_a_weighted_measure_on_an_unweighted_graph(measure):
+    with pytest.raises(InvalidParameter,
+                       match=f"{measure} reads weighted graphs, not "
+                             "unweighted ones"):
+        compute(measure, remove_weakest(CYCLE4, 0))
+
+
+@pytest.mark.parametrize("measure", UNWEIGHTED_MEASURES)
+def test_compute_refuses_an_unweighted_measure_on_a_weighted_graph(measure):
+    with pytest.raises(InvalidParameter,
+                       match=f"{measure} reads unweighted graphs, not "
+                             "weighted ones"):
+        compute(measure, CYCLE4)
 
 
 def test_compute_sym_low_mirrors_sym():
@@ -538,8 +563,8 @@ def test_snapped_ranking_survives_relabelled_nodes(toy_corpus, source):
                                 g.weighted)
         for h in hs:
             for measure in ALL_MEASURES:
-                want = compute(measure, g, h)
-                got = compute(measure, moved, h)
+                want = compute(measure, _of_its_kind(measure, g), h)
+                got = compute(measure, _of_its_kind(measure, moved), h)
                 unmoved = np.empty(base.n_nodes)
                 unmoved[perm] = got.scores
                 back = CentralityResult(measure, unmoved, got.direction)

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import util
 from netsumm.errors import EmptyGraph, InvalidInput, InvalidParameter
 from netsumm.graph import (INTER, INTRA, apply_alpha, build,
                            connected_components, cosine_matrix, from_edges,
-                           remove_weakest)
+                           remove_weakest, shared_key_pairs)
 from netsumm.preprocess import SentenceRecord
 from netsumm.summarize import prepare_cluster
 from netsumm.tfidf import SentenceVector, cosine, fit, stack, vectorize
@@ -87,6 +89,16 @@ def test_cosine_matrix_is_bitwise_tfidf_cosine():
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert {0, 1, 2, 3} <= set(shared)
         assert any(not v.weights for v in vectors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=12))
+def test_shared_key_pairs_lists_each_sharing_pair_once(keys):
+    keys = np.sort(np.array(keys, dtype=np.int64))
+    first, second = shared_key_pairs(keys)
+    want = [(i, j) for i in range(len(keys)) for j in range(i + 1, len(keys))
+            if keys[i] == keys[j]]
+    assert list(zip(first.tolist(), second.tolist())) == want
 
 
 def test_cosine_matrix_rejects_non_positive_weights():

@@ -14,7 +14,7 @@ from netsumm.preprocess import SentenceRecord
 from netsumm import summarize
 from netsumm.summarize import (AR2_THRESHOLD, PreparedCluster,
                                RedundancyConfig, Summary, ar1_threshold,
-                               ngram_sets, ngram_similarity, resolve_budget,
+                               ar2_blocks, ngram_similarity, resolve_budget,
                                select, word_count)
 
 
@@ -160,13 +160,6 @@ def _random_rankings(rng, records, count):
             for _ in range(count)]
 
 
-def test_ngram_similarity_with_prebuilt_sets():
-    a = rec(0, 0, 0, "river flood town rescue crews")
-    b = rec(1, 1, 0, "river flood town storm")
-    grams = (ngram_sets(a.tokens), ngram_sets(b.tokens))
-    assert ngram_similarity(a, b, grams) == ngram_similarity(a, b)
-
-
 def test_selection_state_gives_the_same_summaries():
     rng = np.random.default_rng(53)
     records, _ = util.random_records(rng, n_sentences=14, dup_pairs=3)
@@ -179,24 +172,58 @@ def test_selection_state_gives_the_same_summaries():
                 select(util.prepared_for(records), ranking, budget, red)
 
 
+def _count_builds(monkeypatch):
+    """Count the calls of each method's matrix builder."""
+    builds = {"AR1": 0, "AR2": 0}
+    for method in builds:
+        name = f"{method.lower()}_blocks"
+        built = getattr(summarize, name)
+
+        def counted(arg, method=method, built=built):
+            builds[method] += 1
+            return built(arg)
+        monkeypatch.setattr(summarize, name, counted)
+    return builds
+
+
 def test_selection_state_computes_each_piece_once(monkeypatch):
     rng = np.random.default_rng(59)
     records, _ = util.random_records(rng, n_sentences=12, dup_pairs=2)
-    calls = []
-    similarity = summarize.ngram_similarity
-
-    def counted_similarity(a, b, grams=None):
-        calls.append(frozenset((a.global_id, b.global_id)))
-        return similarity(a, b, grams)
-
-    monkeypatch.setattr(summarize, "ngram_similarity", counted_similarity)
+    builds = _count_builds(monkeypatch)
     prepared = util.prepared_for(records)
     budget = SummaryBudget("words", 10_000)
     for ranking in _random_rankings(rng, records, 20):
         select(prepared, ranking, budget, RedundancyConfig("AR1"))
         select(prepared, ranking, budget, RedundancyConfig("AR2"))
-    assert calls
-    assert len(calls) == len(set(calls))
+    assert builds == {"AR1": 1, "AR2": 1}
+
+
+def test_an_ar1_run_never_builds_ar2(monkeypatch):
+    rng = np.random.default_rng(61)
+    records, _ = util.random_records(rng, n_sentences=12, dup_pairs=2)
+    builds = _count_builds(monkeypatch)
+    prepared = util.prepared_for(records)
+    assert builds == {"AR1": 0, "AR2": 0}  # nothing built up front
+    for ranking in _random_rankings(rng, records, 5):
+        select(prepared, ranking, SummaryBudget("words", 10_000),
+               RedundancyConfig("AR1"))
+    assert builds == {"AR1": 1, "AR2": 0}
+
+
+# a small vocabulary, so that n-grams repeat within and across sentences
+GRAM_TOKENS = st.lists(st.sampled_from(["river", "flood", "town"]),
+                       max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(GRAM_TOKENS, min_size=1, max_size=8))
+def test_ar2_blocks_is_the_pairwise_rule(token_lists):
+    records = [SentenceRecord(k, "d0", 0, k, " ".join(tokens), tuple(tokens))
+               for k, tokens in enumerate(token_lists)]
+    want = np.array([[i != j and ngram_similarity(a, b) > AR2_THRESHOLD
+                      for j, b in enumerate(records)]
+                     for i, a in enumerate(records)], dtype=bool)
+    assert np.array_equal(ar2_blocks(records), want)
 
 
 def test_select_rejects_a_ranking_of_another_length():
