@@ -11,12 +11,18 @@ to 12 significant digits": the next commit rewrote the summaries,
 report.csv, best.csv and correlations.csv whose bytes that code changed;
 every other file, the score tables, edge lists and similarity matrix
 included, already held that code's output.
+
+summarize_pt and evaluate_pt hold the outputs on fixtures/pt, a Portuguese
+cluster with accented capitals, "Sr.", "3.5", a period after a newline and
+no-break spaces, so they pin fold's non-ASCII path and the pt resources.
+They were written by the code before the one-pass segmenter.
 """
 
 from pathlib import Path
 
 import pytest
 
+from conftest import FIXTURES
 from netsumm.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -73,3 +79,22 @@ def test_dump_graph_matches_golden(toy_path, tmp_path, capsys, name, flags):
     assert main(["summarize", "--corpus", str(toy_path),
                  "--out", str(tmp_path), "--dump-graph"] + flags) == 0
     _assert_same_files(GOLDEN / name, tmp_path)
+
+
+def test_pt_summarize_matches_golden(tmp_path, capsys):
+    assert main(["summarize", "--corpus", str(FIXTURES / "pt"),
+                 "--out", str(tmp_path), "--ard", "none,AR1,AR2",
+                 "--dump-scores", "--dump-sim"]) == 0
+    golden_dir = GOLDEN / "summarize_pt"
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted(p.name for p in golden_dir.iterdir())
+    _assert_same_files(golden_dir, tmp_path)
+
+
+def test_pt_evaluate_matches_golden(tmp_path, capsys):
+    assert main(["evaluate", "--corpus", str(FIXTURES / "pt"),
+                 "--out", str(tmp_path), "--jobs", "1"]) == 0
+    golden_dir = GOLDEN / "evaluate_pt"
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted(p.name for p in golden_dir.iterdir())
+    _assert_same_files(golden_dir, tmp_path)
