@@ -1,10 +1,19 @@
-"""Sentence segmentation and token normalization.
+"""Sentence segmentation and token normalization, in one pass per text.
 
-normalize() lowercases, folds diacritics, keeps alphanumeric runs, drops
-purely numeric tokens and stopwords, then maps each survivor through the
-lemma dictionary or, failing that, a small deterministic suffix stemmer.
-Stopwords are filtered again after mapping so the operation is idempotent
-on its own output.
+Segmentation: a run of '.', '!' or '?' ends a sentence when whitespace or
+the end of the text follows it. A bare period does not when the letters
+just before it, or just before a newline right before it, spell an
+abbreviation in ABBREVIATIONS (case-insensitive; a run longer than the
+longest abbreviation never does). A sentence keeps its terminator, has its
+whitespace collapsed to single spaces, and is dropped when it has no word.
+
+Words: fold() decomposes the text (NFKD), then lowercases it, then drops
+combining marks; the words are its [a-z0-9]+ runs. normalize() drops purely
+numeric words and stopwords, then maps each survivor through the lemma
+dictionary or, failing that, a small deterministic suffix stemmer, and
+drops it again if it maps to a stopword or a number, so the operation is
+idempotent on its own output. Stopword and lemma entries are folded the
+same way.
 """
 
 from __future__ import annotations
@@ -26,8 +35,9 @@ _ABBREVIATION_LOOKBACK = max(map(len, ABBREVIATIONS)) + 1  # letters
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _NUMERIC_RE = re.compile(r"[0-9]+")
-_TERMINATOR_RE = re.compile(r"[.!?]+")
-_LETTER_RE = re.compile(r"[^\W\d_]")
+# a terminator run that whitespace or the end of the text follows
+_TERMINATOR_RE = re.compile(r"[.!?]+(?=\s|\Z)")
+_WORD_END_RE = re.compile(r"[^\W\d_]+\Z")
 
 
 @dataclass(frozen=True)
@@ -48,14 +58,16 @@ class LanguageResources:
 
 
 def fold(text: str) -> str:
-    """Lowercase and strip diacritics (NFKD, drop combining marks).
+    """Decompose (NFKD), lowercase, then drop combining marks.
 
-    ASCII text is only lowercased: NFKD leaves it as it is, and it has no
-    combining marks.
+    Lowercasing after decomposition keeps the letters that compatibility
+    characters decompose to: "ℍ" folds to "h" and "№" to "no". ASCII text
+    is only lowercased: NFKD leaves it as it is, and it has no combining
+    marks.
     """
     if text.isascii():
         return text.lower()
-    decomposed = unicodedata.normalize("NFKD", text.lower())
+    decomposed = unicodedata.normalize("NFKD", text).lower()
     return "".join(c for c in decomposed if not unicodedata.combining(c))
 
 
@@ -130,81 +142,61 @@ def load_resources(language: str) -> LanguageResources:
     return LanguageResources(language, frozenset(stopwords), lemma_map)
 
 
-def _is_boundary(text: str, start: int, end: int) -> bool:
-    # Boundary requires end-of-text or whitespace next (protects "3.14"),
-    # and the preceding word must not be a known abbreviation when the
-    # terminator is a bare period.
-    if end < len(text) and not text[end].isspace():
-        return False
-    if text[start:end] == ".":
-        # the run of letters ending at the period, or at a newline just
-        # before it, as [^\W\d_]+$ finds it in text[:start]; a run longer
-        # than any abbreviation is cut to one letter more
-        stop = start - 1 if text[start - 1:start] == "\n" else start
-        begin, floor = stop, max(stop - _ABBREVIATION_LOOKBACK, 0)
-        while begin > floor and _LETTER_RE.match(text, begin - 1):
-            begin -= 1
-        if text[begin:stop].lower() in ABBREVIATIONS:
-            return False
-    return True
+def _sentences(text: str):
+    """(sentence, words) for each sentence of text that has a word, as the
+    module docstring defines them: the sentence with its whitespace
+    collapsed, and the words of its fold in order."""
+    ends = []
+    for m in _TERMINATOR_RE.finditer(text):
+        if m.group() == ".":
+            # the letters before a bare period, or before a newline just
+            # before it; a longer run is cut to one letter more than
+            # the longest abbreviation
+            stop = m.start() - (text[m.start() - 1:m.start()] == "\n")
+            word = _WORD_END_RE.search(
+                text, max(stop - _ABBREVIATION_LOOKBACK, 0), stop)
+            if word and word.group().lower() in ABBREVIATIONS:
+                continue
+        ends.append(m.end())
+    ends.append(len(text))
+    begin = 0
+    for end in ends:
+        piece, begin = text[begin:end], end
+        words = _TOKEN_RE.findall(fold(piece))
+        if words:
+            yield " ".join(piece.split()), words
 
 
 def segment(raw_text: str) -> list:
-    """Split text into sentence strings at '.', '!' or '?'.
-
-    A terminator ends a sentence when whitespace or the end of the text
-    follows it, and a bare period also needs the word before it not to be
-    an abbreviation; that word is found by walking back from the period
-    over at most _ABBREVIATION_LOOKBACK letters. Each returned segment
-    keeps its terminator and has internal whitespace collapsed to single
-    spaces. Empty segments are dropped.
-    """
-    sentences = []
-    begin = 0
-    for m in _TERMINATOR_RE.finditer(raw_text):
-        if not _is_boundary(raw_text, m.start(), m.end()):
-            continue
-        piece = raw_text[begin:m.end()].strip()
-        if _TOKEN_RE.search(fold(piece)):
-            sentences.append(" ".join(piece.split()))
-        begin = m.end()
-    tail = raw_text[begin:].strip()
-    if tail and _TOKEN_RE.search(fold(tail)):
-        sentences.append(" ".join(tail.split()))
-    return sentences
-
-
-def _form(token: str, res: LanguageResources) -> str:
-    """The normalized form of one folded token, or "" when it is dropped."""
-    if _NUMERIC_RE.fullmatch(token) or token in res.stopwords:
-        return ""
-    mapped = _stable_form(token, res.lemma_map)
-    if mapped in res.stopwords or _NUMERIC_RE.fullmatch(mapped):
-        return ""
-    return mapped
+    """The sentences of raw_text (see the module docstring)."""
+    return [sentence for sentence, _ in _sentences(raw_text)]
 
 
 class _Forms(dict):
-    """Folded token -> its normalized form, "" when it is dropped. A token
-    is mapped on its first lookup, so each distinct token is mapped once
-    for as long as the dict lives."""
+    """Folded word -> its normalized form, "" when it is dropped. A word is
+    mapped on its first lookup, so each distinct word is mapped once for as
+    long as the dict lives."""
 
     def __init__(self, res: LanguageResources):
         super().__init__()
         self.res = res
 
-    def __missing__(self, token: str) -> str:
-        form = self[token] = _form(token, self.res)
+    def __missing__(self, word: str) -> str:
+        stopwords = self.res.stopwords
+        form = ""
+        if not (_NUMERIC_RE.fullmatch(word) or word in stopwords):
+            mapped = _stable_form(word, self.res.lemma_map)
+            if not (mapped in stopwords or _NUMERIC_RE.fullmatch(mapped)):
+                form = mapped
+        self[word] = form
         return form
-
-    def content(self, sentence: str) -> list:
-        return list(filter(None, map(self.__getitem__,
-                                     _TOKEN_RE.findall(fold(sentence)))))
 
 
 def normalize(sentence: str, res: LanguageResources) -> list:
     """The sentence's content tokens in order, in normalized form."""
-    return _Forms(res).content(sentence)
+    forms = _Forms(res)
+    return [form for _, words in _sentences(sentence)
+            for form in map(forms.__getitem__, words) if form]
 
 
 def build_sentences(cluster: Cluster, res: LanguageResources) -> list:
@@ -218,14 +210,12 @@ def build_sentences(cluster: Cluster, res: LanguageResources) -> list:
     """
     forms = _Forms(res)
     records = []
-    global_id = 0
     for doc in cluster.documents:
-        for position, sentence in enumerate(segment(doc.raw_text)):
-            tokens = tuple(forms.content(sentence))
+        for position, (sentence, words) in enumerate(
+                _sentences(doc.raw_text)):
             records.append(SentenceRecord(
-                global_id, doc.id, doc.layer_index, position,
-                sentence, tokens))
-            global_id += 1
+                len(records), doc.id, doc.layer_index, position, sentence,
+                tuple(filter(None, map(forms.__getitem__, words)))))
     if not any(rec.tokens for rec in records):
         raise DegenerateCluster(
             f"cluster {cluster.id}: every sentence normalized to nothing")

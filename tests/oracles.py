@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -269,6 +270,37 @@ def level_set(adj: dict, start, h: int) -> set:
                     nxt.append(u)
         frontier = nxt
     return {v for v, k in level.items() if k == h}
+
+
+# ---------------------------------------------------------------------------
+# sentence segmentation (segmenter oracle)
+
+def segment_by_prefix_search(text: str, abbreviations, fold) -> list:
+    """Sentence strings of text, with each maximal [.!?]+ run tested by
+    hand: it ends a sentence when whitespace or the end of the text follows
+    it, unless it is a bare period after a word in abbreviations (compared
+    lowercased). That word is the letter run a regex search finds at the
+    end of the whole prefix before the period; `$` also matches before a
+    newline that ends the prefix. A piece is kept, with its whitespace
+    collapsed, when fold(piece) has an [a-z0-9] run; fold is passed in so
+    this module needs nothing from the package. Quadratic in the text."""
+    ends = []
+    for m in re.finditer(r"[.!?]+", text):
+        start, end = m.span()
+        if end < len(text) and not text[end].isspace():
+            continue
+        if text[start:end] == ".":
+            word = re.search(r"([^\W\d_]+)$", text[:start])
+            if word and word.group(1).lower() in abbreviations:
+                continue
+        ends.append(end)
+    sentences, begin = [], 0
+    for end in ends + [len(text)]:
+        piece = text[begin:end]
+        if re.search(r"[a-z0-9]", fold(piece)):
+            sentences.append(" ".join(piece.split()))
+        begin = end
+    return sentences
 
 
 # ---------------------------------------------------------------------------

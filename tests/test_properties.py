@@ -74,10 +74,10 @@ def test_build_sentences_maps_each_sentence_as_normalize_does(texts):
                       (), SummaryBudget("words", 10))
     want = [(i, k, s, tuple(normalize(s, CHAINS)))
             for i, t in enumerate(texts) for k, s in enumerate(segment(t))]
+    forms = preprocess._Forms(CHAINS)
     for *_, s, tokens in want:   # normalize applies the rule token by token
         assert tokens == tuple(filter(None, (
-            preprocess._form(t, CHAINS)
-            for t in preprocess._TOKEN_RE.findall(fold(s)))))
+            forms[t] for t in preprocess._TOKEN_RE.findall(fold(s)))))
     try:
         records = build_sentences(cluster, CHAINS)
     except DegenerateCluster:
