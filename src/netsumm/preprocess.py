@@ -4,8 +4,10 @@ Segmentation: a run of '.', '!' or '?' ends a sentence when whitespace or
 the end of the text follows it. A bare period does not when the letters
 just before it, or just before a newline right before it, spell an
 abbreviation in ABBREVIATIONS (case-insensitive; a run longer than the
-longest abbreviation never does). A sentence keeps its terminator, has its
-whitespace collapsed to single spaces, and is dropped when it has no word.
+longest abbreviation never does). "no" counts as one only when the next
+non-space character is a digit, so "No. 5" stays whole and "was no." ends
+a sentence. A sentence keeps its terminator, has its whitespace collapsed
+to single spaces, and is dropped when it has no word.
 
 Words: fold() decomposes the text (NFKD), then lowercases it, then drops
 combining marks; the words are its [a-z0-9]+ runs. normalize() drops purely
@@ -14,13 +16,21 @@ dictionary or, failing that, a small deterministic suffix stemmer, and
 drops it again if it maps to a stopword or a number, so the operation is
 idempotent on its own output. Stopword and lemma entries are folded the
 same way.
+
+load_resources returns one shared, read-only LanguageResources per
+language per process. Each LanguageResources carries its own word-form
+table, filled on first lookup, so a word is mapped once for as long as its
+resources live: once per process per language for the shared ones. The
+table holds one entry per distinct folded word it has been asked for.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+import types
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources as importlib_resources
 
 from .corpus import SUPPORTED_LANGUAGES, Cluster
@@ -38,6 +48,8 @@ _NUMERIC_RE = re.compile(r"[0-9]+")
 # a terminator run that whitespace or the end of the text follows
 _TERMINATOR_RE = re.compile(r"[.!?]+(?=\s|\Z)")
 _WORD_END_RE = re.compile(r"[^\W\d_]+\Z")
+# after "no" a bare period is an abbreviation only before a number
+_NEXT_IS_DIGIT_RE = re.compile(r"\s*\d")
 
 
 @dataclass(frozen=True)
@@ -52,9 +64,24 @@ class SentenceRecord:
 
 @dataclass(frozen=True)
 class LanguageResources:
+    """A language's stopwords and lemma table, read-only, and the table of
+    each word's normalized form that they define (see _Forms)."""
     language: str
     stopwords: frozenset
-    lemma_map: dict
+    lemma_map: types.MappingProxyType
+    _forms: _Forms = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # copies, so the form table never outlives what it was built from
+        object.__setattr__(self, "stopwords", frozenset(self.stopwords))
+        object.__setattr__(self, "lemma_map",
+                           types.MappingProxyType(dict(self.lemma_map)))
+        object.__setattr__(self, "_forms", _Forms(self))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; a copy gets a table of its own
+        return (LanguageResources,
+                (self.language, self.stopwords, dict(self.lemma_map)))
 
 
 def fold(text: str) -> str:
@@ -109,12 +136,15 @@ def _stable_form(token: str, lemma_map: dict) -> str:
         f"lemma mapping does not stabilize for {token!r}")
 
 
+@functools.cache
 def load_resources(language: str) -> LanguageResources:
     """Load bundled stopword/lemma files for a supported language.
 
     Entries are folded with the same rules as normalize(), so accented
     spellings in the files match folded tokens. Every lemma key must
-    resolve to a stable form (no mapping cycles).
+    resolve to a stable form (no mapping cycles). The files are read once
+    per process: every call for a language returns the same read-only
+    object, and with it the same word-form table.
     """
     if language not in SUPPORTED_LANGUAGES:
         raise InvalidParameter(f"unsupported language {language!r}")
@@ -139,7 +169,7 @@ def load_resources(language: str) -> LanguageResources:
         lemma_map[fold(parts[0].strip())] = fold(parts[1].strip())
     for key in lemma_map:
         _stable_form(key, lemma_map)
-    return LanguageResources(language, frozenset(stopwords), lemma_map)
+    return LanguageResources(language, stopwords, lemma_map)
 
 
 def _sentences(text: str):
@@ -155,7 +185,10 @@ def _sentences(text: str):
             stop = m.start() - (text[m.start() - 1:m.start()] == "\n")
             word = _WORD_END_RE.search(
                 text, max(stop - _ABBREVIATION_LOOKBACK, 0), stop)
-            if word and word.group().lower() in ABBREVIATIONS:
+            abbreviation = word.group().lower() if word else None
+            if abbreviation in ABBREVIATIONS and (
+                    abbreviation != "no"
+                    or _NEXT_IS_DIGIT_RE.match(text, m.end())):
                 continue
         ends.append(m.end())
     ends.append(len(text))
@@ -175,7 +208,8 @@ def segment(raw_text: str) -> list:
 class _Forms(dict):
     """Folded word -> its normalized form, "" when it is dropped. A word is
     mapped on its first lookup, so each distinct word is mapped once for as
-    long as the dict lives."""
+    long as the dict lives. Threads may share one: two threads that miss
+    the same word at once both store the one form it maps to."""
 
     def __init__(self, res: LanguageResources):
         super().__init__()
@@ -194,7 +228,7 @@ class _Forms(dict):
 
 def normalize(sentence: str, res: LanguageResources) -> list:
     """The sentence's content tokens in order, in normalized form."""
-    forms = _Forms(res)
+    forms = res._forms
     return [form for _, words in _sentences(sentence)
             for form in map(forms.__getitem__, words) if form]
 
@@ -205,10 +239,11 @@ def build_sentences(cluster: Cluster, res: LanguageResources) -> list:
     Returns SentenceRecords with global_id increasing in (layer_index,
     position_in_doc) order, as a Cluster holds its documents in layer
     order. Raises DegenerateCluster when no sentence
-    carries any content token. Each distinct token is normalized once per
-    call.
+    carries any content token. Each distinct token is normalized once for
+    as long as res lives, through res's word-form table: once per process
+    per language for load_resources' shared objects.
     """
-    forms = _Forms(res)
+    forms = res._forms
     records = []
     for doc in cluster.documents:
         for position, (sentence, words) in enumerate(

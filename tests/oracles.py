@@ -281,7 +281,9 @@ def segment_by_prefix_search(text: str, abbreviations, fold) -> list:
     it, unless it is a bare period after a word in abbreviations (compared
     lowercased). That word is the letter run a regex search finds at the
     end of the whole prefix before the period; `$` also matches before a
-    newline that ends the prefix. A piece is kept, with its whitespace
+    newline that ends the prefix. After "no" the period is an abbreviation
+    only when the first character after the run that is not a space is a
+    decimal digit. A piece is kept, with its whitespace
     collapsed, when fold(piece) has an [a-z0-9] run; fold is passed in so
     this module needs nothing from the package. Quadratic in the text."""
     ends = []
@@ -292,7 +294,9 @@ def segment_by_prefix_search(text: str, abbreviations, fold) -> list:
         if text[start:end] == ".":
             word = re.search(r"([^\W\d_]+)$", text[:start])
             if word and word.group(1).lower() in abbreviations:
-                continue
+                if word.group(1).lower() != "no" or \
+                        text[end:].lstrip()[:1].isdecimal():
+                    continue
         ends.append(end)
     sentences, begin = [], 0
     for end in ends + [len(text)]:

@@ -98,3 +98,20 @@ def test_pt_evaluate_matches_golden(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         sorted(p.name for p in golden_dir.iterdir())
     _assert_same_files(golden_dir, tmp_path)
+
+
+def test_languages_share_no_word_forms_within_a_process(tmp_path, capsys):
+    """Each language's word-form table lives as long as the process; runs
+    that alternate languages still match their goldens byte for byte."""
+    runs = [("pt", ["--ard", "none,AR1,AR2", "--dump-scores", "--dump-sim"],
+             "summarize_pt"),
+            ("toy", ["--measure", "access,sym,sym_low",
+                     "--alpha", "0.5,1.0,1.9", "--r", "0.1,0.3",
+                     "--ard", "none,AR1,AR2", "--h", "2"], "summarize_h2")]
+    for k, (corpus, flags, golden) in enumerate(runs + runs[:1]):
+        out = tmp_path / str(k)
+        assert main(["summarize", "--corpus", str(FIXTURES / corpus),
+                     "--out", str(out)] + flags) == 0
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted(p.name for p in (GOLDEN / golden).iterdir())
+        _assert_same_files(GOLDEN / golden, out)

@@ -1,4 +1,7 @@
+import pickle
 import random
+import sys
+import threading
 import time
 import unicodedata
 
@@ -64,6 +67,58 @@ def test_load_resources_pt_entries_are_folded():
     assert "voce" in res.stopwords
 
 
+def test_load_resources_is_shared_and_read_only():
+    res = load_resources("en")
+    assert load_resources("en") is res
+    assert load_resources("pt") is not res
+    with pytest.raises(TypeError):
+        res.lemma_map["ties"] = "ty"
+
+
+def test_hand_built_resources_keep_their_own_table():
+    lemmas = {"ties": "knot"}
+    res = preprocess.LanguageResources("en", {"the"}, lemmas)
+    lemmas["ties"] = "tie"   # the resources copied the dict
+    assert normalize("the ties", res) == ["knot"]
+    assert normalize("the ties", load_resources("en")) == ["tie"]
+
+
+def test_resources_unpickle_to_an_equal_copy_with_its_own_table(en_res):
+    normalize("the ties", en_res)
+    copy = pickle.loads(pickle.dumps(en_res))
+    assert copy == en_res and copy is not en_res
+    assert copy._forms is not en_res._forms
+    assert normalize("the ties", copy) == ["tie"]
+
+
+def test_threads_sharing_one_table_get_the_single_threaded_forms(
+        toy_corpus, en_res):
+    # every thread fills the same fresh table at once; a lost or crossed
+    # write would give some thread another word's form
+    def fresh():
+        return preprocess.LanguageResources("en", en_res.stopwords,
+                                            en_res.lemma_map)
+    clusters = list(toy_corpus) * 4
+    want = [build_sentences(c, fresh()) for c in clusters]
+    shared, got = fresh(), [None] * len(clusters)
+
+    def run(k):
+        got[k] = build_sentences(clusters[k], shared)
+    threads = [threading.Thread(target=run, args=(k,))
+               for k in range(len(clusters))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+
+
 def test_load_resources_unknown_language():
     with pytest.raises(InvalidParameter):
         load_resources("fr")
@@ -88,6 +143,15 @@ def test_segment_known_abbreviation_does_not_split():
     # a long word that ends in an abbreviation is no abbreviation
     assert segment("Sold to Westinghousecorp. Then more.") == \
         ["Sold to Westinghousecorp.", "Then more."]
+
+
+def test_segment_no_is_an_abbreviation_only_before_a_number():
+    assert segment("The answer was no. He left the room.") == \
+        ["The answer was no.", "He left the room."]
+    assert segment("Ela disse que no. O povo foi embora.") == \
+        ["Ela disse que no.", "O povo foi embora."]
+    assert segment("He lives at No. 5 Main Street. It is big.") == \
+        ["He lives at No. 5 Main Street.", "It is big."]
 
 
 def test_segment_multi_terminator_runs():
@@ -123,11 +187,13 @@ def test_segment_boundaries_match_the_prefix_regex():
     # "\n." puts a period after a newline, which `$` skips over; the
     # non-ASCII spaces, U+001C, a combining acute and "Σ" probe where
     # `\s`, `[^\W\d_]` and fold might part from str.isspace and the
-    # letter run the referee finds
-    pieces = ["Dr", "etc", "ETC", "x1etc", "no", "Ñetc", "café", "x²",
-              "a_b", "3", "14", "_", " ", "  ", "\n", "\n.", ".", "!", "?",
-              "..", "word", "Fig", "approx", "corp", "\u00a0", "\u2028",
-              "\u0085", "\u001c", "\u3000", "\u0301", "Σ"]
+    # letter run the referee finds; "No" and the digits probe the number
+    # that keeps "no." whole
+    pieces = ["Dr", "etc", "ETC", "x1etc", "no", "No", "Ñetc", "café", "x²",
+              "a_b", "3", "14", "0", "5", "_", " ", "  ", "\n",
+              "\n.", ".", "!", "?", "..", "word", "Fig", "approx", "corp",
+              "\u00a0", "\u2028", "\u0085", "\u001c", "\u3000", "\u0301",
+              "Σ"]
     rng = random.Random(7)
     texts = ["".join(rng.choice(pieces) for _ in range(rng.randint(1, 40)))
              for _ in range(1000)]

@@ -87,6 +87,19 @@ def test_build_sentences_maps_each_sentence_as_normalize_does(texts):
             for r in records] == want
 
 
+def test_build_sentences_reads_its_own_resources_table():
+    # the shared EN table maps these words first; CHAINS must not see it
+    text = " ".join(VOCAB) + "."
+    cluster = Cluster("c", (Document("d0", text, 0),), (),
+                      SummaryBudget("words", 10))
+    en_tokens = build_sentences(cluster, EN)[0].tokens
+    [record] = build_sentences(cluster, CHAINS)
+    assert record.tokens == tuple(normalize(text, CHAINS)) == (
+        "brasil", "brasil", "brasil", "mouse", "go", "go", "a1", "flood",
+        "flood", "city", "agua", "x")
+    assert record.tokens != en_tokens
+
+
 @given(texts)
 def test_segment_preserves_tokens(text):
     whole = rouge_tokens(fold(text))
