@@ -21,7 +21,9 @@ load_resources returns one shared, read-only LanguageResources per
 language per process. Each LanguageResources carries its own word-form
 table, filled on first lookup, so a word is mapped once for as long as its
 resources live: once per process per language for the shared ones. The
-table holds one entry per distinct folded word it has been asked for.
+table holds one entry per distinct folded word it has been asked for. To
+release the shared objects, call load_resources.cache_clear() and drop
+every other reference to them; the next call reads the files again.
 """
 
 from __future__ import annotations
@@ -145,6 +147,8 @@ def load_resources(language: str) -> LanguageResources:
     resolve to a stable form (no mapping cycles). The files are read once
     per process: every call for a language returns the same read-only
     object, and with it the same word-form table.
+    load_resources.cache_clear() forgets the shared objects; they are freed
+    once no caller holds them, and the next call builds new ones.
     """
     if language not in SUPPORTED_LANGUAGES:
         raise InvalidParameter(f"unsupported language {language!r}")

@@ -75,6 +75,16 @@ def test_load_resources_is_shared_and_read_only():
         res.lemma_map["ties"] = "ty"
 
 
+def test_cache_clear_gives_fresh_resources_with_an_empty_table():
+    res = load_resources("en")
+    normalize("the ties", res)
+    load_resources.cache_clear()
+    fresh = load_resources("en")
+    assert fresh is not res and fresh == res
+    assert "ties" not in fresh._forms and "ties" in res._forms
+    assert load_resources("en") is fresh
+
+
 def test_hand_built_resources_keep_their_own_table():
     lemmas = {"ties": "knot"}
     res = preprocess.LanguageResources("en", {"the"}, lemmas)
