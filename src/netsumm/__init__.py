@@ -30,8 +30,8 @@ from .preprocess import (LanguageResources, SentenceRecord, build_sentences,
 from .summarize import (PreparedCluster, RedundancyConfig, Summary,
                         ar1_threshold, ngram_similarity, prepare_cluster,
                         select)
-from .tfidf import (ClusterVectors, SentenceVector, TfIdfModel, cosine, fit,
-                    vectorize, vectorize_all)
+from .tfidf import (ClusterVectors, SentenceVector, TfIdfModel,
+                    cluster_vectors, cosine, fit, vectorize, vectorize_all)
 
 __version__ = "0.1.0"
 

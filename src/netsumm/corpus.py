@@ -4,6 +4,8 @@ Layout: ``<corpus>/<cluster-id>/{manifest, docs/*.txt, refs/*.txt}``. The
 manifest is flat ``key = value`` text; required key ``budget`` with value
 ``words:N``, ``chars:N`` or ``compression:0.NN``; optional key ``language``
 (``en`` or ``pt``, default ``en``). Files are UTF-8, strictly decoded.
+Hidden entries, whose names start with '.', are skipped: clusters at the
+corpus root and files in ``docs/`` and ``refs/``.
 """
 
 from __future__ import annotations
@@ -107,6 +109,13 @@ def parse_budget(value: str) -> SummaryBudget:
     return SummaryBudget(kind, num)
 
 
+def _listing(directory: Path, keep) -> list:
+    """The entries of `directory` that `keep` accepts, sorted by name;
+    hidden ones (a name starting with '.') are skipped."""
+    return sorted(p for p in directory.iterdir()
+                  if not p.name.startswith(".") and keep(p))
+
+
 def load_cluster(path) -> Cluster:
     """Load one cluster directory.
 
@@ -136,7 +145,7 @@ def load_cluster(path) -> Cluster:
     docs_dir = root / "docs"
     if not docs_dir.is_dir():
         raise CorpusFormatError(f"{root} has no docs/ directory")
-    doc_files = sorted(p for p in docs_dir.iterdir() if p.is_file())
+    doc_files = _listing(docs_dir, Path.is_file)
     if len(doc_files) < 2:
         raise ClusterTooSmall(
             f"{root}: found {len(doc_files)} document(s), need at least 2")
@@ -150,7 +159,7 @@ def load_cluster(path) -> Cluster:
     refs_dir = root / "refs"
     references = []
     if refs_dir.is_dir():
-        for ref_path in sorted(p for p in refs_dir.iterdir() if p.is_file()):
+        for ref_path in _listing(refs_dir, Path.is_file):
             references.append(_read_text(ref_path))
 
     return Cluster(root.name, tuple(documents), tuple(references),
@@ -162,7 +171,7 @@ def load_corpus(path) -> list:
     root = Path(path)
     if not root.is_dir():
         raise CorpusFormatError(f"corpus path {root} is not a directory")
-    cluster_dirs = sorted(p for p in root.iterdir() if p.is_dir())
+    cluster_dirs = _listing(root, Path.is_dir)
     if not cluster_dirs:
         raise EmptyCorpus(f"no cluster directories under {root}")
     return [load_cluster(p) for p in cluster_dirs]

@@ -38,6 +38,10 @@ class MultilayerGraph:
     weighted: bool = True
 
     def __post_init__(self):
+        n = len(self.layers)
+        if self.W.shape != (n, n):
+            raise InvalidInput(f"W of shape {self.W.shape} for {n} layer "
+                               f"indices: need a square matrix of side {n}")
         self.W.flags.writeable = False
 
     @property
@@ -81,11 +85,13 @@ def cosine_matrix(vectors: tfidf.ClusterVectors) -> np.ndarray:
     """Pairwise tfidf.cosine of the vectors, zero diagonal, bit for bit.
 
     The dot products come from the per-term postings: shared_key_pairs
-    pairs every two sentences that hold a term. np.bincount sums each
+    pairs every two sentences that hold a term. Each pair that shares a
+    term is one distinct key; np.bincount over the keys' ranks sums each
     pair's term products from 0.0 in posting order, which is cosine's
     correctly rounded fsum for a pair sharing one or two terms; a pair
     sharing three or more gets math.fsum of its products. Only the pairs
-    that share a term are divided by their norms.
+    that share a term are divided by their norms, and no array but the
+    result is n x n.
     """
     n = len(vectors.norms)
     if (vectors.weight <= 0).any():
@@ -95,24 +101,25 @@ def cosine_matrix(vectors: tfidf.ClusterVectors) -> np.ndarray:
     weights, sentence = vectors.weight[order], vectors.sentence[order]
     first, second = shared_key_pairs(vectors.term[order])
     # key u * n + v, u < v: row u, column v of the upper triangle
-    keys = sentence[first] * n + sentence[second]
+    pairs, pair_of, shared = np.unique(
+        sentence[first] * n + sentence[second], return_inverse=True,
+        return_counts=True)
     products = weights[first] * weights[second]
-    shared = np.bincount(keys, minlength=n * n)
-    pairs = np.flatnonzero(shared > 0)
-    dots = np.bincount(keys, products, n * n)[pairs]
-    many = shared[pairs] >= 3
+    dots = np.bincount(pair_of, products, len(pairs))
+    many = shared >= 3
     if many.any():
         # their products grouped by pair, pairs in key order as in `pairs`
-        held = np.flatnonzero(shared[keys] >= 3)
-        held = products[held[np.argsort(keys[held], kind="stable")]].tolist()
-        stops = np.cumsum(shared[pairs[many]]).tolist()
+        held = np.flatnonzero(many[pair_of])
+        held = products[held[np.argsort(pair_of[held], kind="stable")]
+                        ].tolist()
+        stops = np.cumsum(shared[many]).tolist()
         dots[many] = [math.fsum(held[a:b])
                       for a, b in zip([0] + stops, stops)]
     u, v = np.divmod(pairs, n)
-    w = np.zeros((n, n))
-    w[u, v] = w[v, u] = np.minimum(
+    w = np.zeros(n * n)
+    w[pairs] = w[v * n + u] = np.minimum(
         dots / (vectors.norms[u] * vectors.norms[v]), 1.0)
-    return w
+    return w.reshape(n, n)
 
 
 def build(vectors, layers) -> MultilayerGraph:
@@ -179,21 +186,30 @@ def remove_weakest(g: MultilayerGraph, r: float) -> MultilayerGraph:
         raise InvalidInput("remove_weakest expects a weighted graph")
     if not 0 <= r < 1:
         raise InvalidParameter(f"r must be in [0, 1), got {r}")
-    upper = np.triu(g.W, 1)
-    present = upper > 0
-    weights = upper[present]   # row-major, so in (u, v) order
+    # the cut's scratch is freed before W is copied
+    drop = _weakest_edges(g.W, r)
+    if not len(drop):
+        return MultilayerGraph(g.W, g.layers, weighted=False)
+    u, v = np.divmod(drop, g.n_nodes)
+    w = g.W.copy()
+    w[u, v] = w[v, u] = 0.0
+    return MultilayerGraph(w, g.layers, weighted=False)
+
+
+def _weakest_edges(W: np.ndarray, r: float) -> np.ndarray:
+    """Flat indices u * n + v, u < v, of the floor(r * |E|) smallest-weight
+    edges of W, ties at the cut broken by (u, v) order."""
+    edges = np.flatnonzero(np.triu(W > 0, 1))   # ascending: (u, v) order
+    weights = W.ravel()[edges]
     # epsilon guards products like 0.3 * 10 that land just below an integer
     k = math.floor(r * len(weights) + 1e-9)
     if not k:
-        return MultilayerGraph(g.W, g.layers, weighted=False)
+        return edges[:0]
     # every weight below the k-th smallest goes, then the first of its ties
     # in (u, v) order: the cut of a stable sort, with no sort
     kth = np.partition(weights, k - 1)[k - 1]
-    drop = present & (upper < kth)
-    ties = np.flatnonzero(upper == kth)
-    drop.flat[ties[:k - np.count_nonzero(drop)]] = True
-    drop |= drop.T
-    return MultilayerGraph(np.where(drop, 0.0, g.W), g.layers, weighted=False)
+    below = edges[weights < kth]
+    return np.concatenate((below, edges[weights == kth][:k - len(below)]))
 
 
 def _hop_matrix(adjacency: np.ndarray) -> np.ndarray:

@@ -80,8 +80,18 @@ def ngram_similarity(a: SentenceRecord, b: SentenceRecord) -> float:
 
 
 def ar1_blocks(cosines: np.ndarray) -> np.ndarray:
-    """AR1's matrix: the cosines above ar1_threshold of the pairs i < j."""
-    return cosines > ar1_threshold(cosines[np.triu_indices(len(cosines), 1)])
+    """AR1's matrix: the cosines above ar1_threshold of the pairs i < j.
+
+    The cosines are symmetric, non-negative and zero on the diagonal, so
+    the pairs' greatest cosine is the matrix's, and their least is 0
+    unless every pair shares a term; no pool of pairs is gathered."""
+    n = len(cosines)
+    if n < 2:
+        raise InvalidInput("need similarities from at least 2 sentences")
+    least = 0.0
+    if np.count_nonzero(cosines) == n * (n - 1):
+        least = cosines.min(where=cosines > 0, initial=np.inf)
+    return cosines > ar1_threshold([cosines.max(), least])
 
 
 def ar2_blocks(records: list) -> np.ndarray:
@@ -173,8 +183,7 @@ def prepare_cluster(cluster: Cluster) -> PreparedCluster:
     build the base graph (alpha 1, no edge removed)."""
     res = preprocess.load_resources(cluster.language)
     records = preprocess.build_sentences(cluster, res)
-    model = tfidf.fit(records, len(cluster.documents))
-    base = graph.build(tfidf.vectorize_all(records, model),
+    base = graph.build(tfidf.cluster_vectors(records, len(cluster.documents)),
                        [rec.layer_index for rec in records])
     return PreparedCluster(records, base)
 

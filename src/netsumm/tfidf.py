@@ -6,7 +6,8 @@ contain the term. Since df <= n_docs, idf >= 1 and all weights are
 non-negative.
 
 A cluster's vectors are computed together, as flat arrays (ClusterVectors);
-vectorize is the one-sentence case of the same computation.
+vectorize is the one-sentence case of the same computation, and
+cluster_vectors fits and vectorizes a cluster in one pass.
 """
 
 from __future__ import annotations
@@ -55,10 +56,12 @@ def fit(sentences: list, n_docs: int) -> TfIdfModel:
 class ClusterVectors:
     """The sparse tf-idf vectors of a list of sentences, as flat arrays.
 
-    Entry k is the weight `weight[k]` of vocabulary index `term[k]` in
-    sentence `sentence[k]` (a position in the list). Entries run sentence
-    by sentence, and within a sentence in the order its terms first occur,
-    the key order of SentenceVector.weights. norms[i] is sentence i's norm.
+    Entry k is the weight `weight[k]` of term `term[k]` in sentence
+    `sentence[k]` (a position in the list); a term is a vocabulary index,
+    or with cluster_vectors a rank in order of first occurrence. Entries
+    run sentence by sentence, and within a sentence in the order its terms
+    first occur, the key order of SentenceVector.weights. norms[i] is
+    sentence i's norm.
     """
 
     sentence: np.ndarray
@@ -77,14 +80,50 @@ def vectorize_all(sentences: list, model: TfIdfModel) -> ClusterVectors:
     entries at a time, as a sequential sum over the weights would.
     """
     vocab = model.vocabulary
-    sizes = [len(rec.tokens) for rec in sentences]
-    tokens = list(chain.from_iterable(rec.tokens for rec in sentences))
-    # each distinct token and its index, in first-occurrence order
-    local = dict(zip(dict.fromkeys(tokens), range(len(tokens))))
-    ids = np.fromiter(map(local.__getitem__, tokens), np.int64, len(tokens))
+    local, ids = _local_ids(sentences)
     term_of = np.array([vocab.get(t, -1) for t in local], dtype=np.int64)
     idf_of = np.array([model.idf(t) if t in vocab else 0.0 for t in local])
-    width = max(len(local), 1)
+    return _weigh(sentences, ids, term_of, idf_of)
+
+
+def cluster_vectors(sentences: list, n_docs: int) -> ClusterVectors:
+    """vectorize_all(sentences, fit(sentences, n_docs)), bit for bit, in
+    one pass, except that a term's id is its rank in order of first
+    occurrence rather than in the sorted vocabulary.
+
+    A term's df counts the distinct layers that hold it, and its idf is
+    read from a table holding ln(n_docs / df) + 1 once per df value.
+    """
+    local, ids = _local_ids(sentences)
+    if not local:
+        raise DegenerateCluster("no terms: cannot fit a tf-idf model")
+    # seen[k, t]: the k-th distinct layer holds term t
+    layer = np.unique([rec.layer_index for rec in sentences],
+                      return_inverse=True)[1]
+    seen = np.zeros((layer.max() + 1, len(local)), dtype=bool)
+    seen[np.repeat(layer, [len(rec.tokens) for rec in sentences]), ids] = True
+    df = seen.sum(axis=0)
+    idf = np.array([math.log(n_docs / d) + 1.0
+                    for d in range(1, df.max() + 1)])
+    return _weigh(sentences, ids, np.arange(len(local)), idf[df - 1])
+
+
+def _local_ids(sentences: list) -> tuple:
+    """(local, ids): each distinct token of the sentences mapped to its
+    rank in order of first occurrence, and that rank for every token."""
+    tokens = list(chain.from_iterable(rec.tokens for rec in sentences))
+    local = dict(zip(dict.fromkeys(tokens), range(len(tokens))))
+    return local, np.fromiter(map(local.__getitem__, tokens), np.int64,
+                              len(tokens))
+
+
+def _weigh(sentences: list, ids: np.ndarray, term_of: np.ndarray,
+           idf_of: np.ndarray) -> ClusterVectors:
+    """The vectors of the sentences whose tokens have local ids `ids`; a
+    local id k is term term_of[k] of weight idf_of[k], or no term when
+    term_of[k] < 0."""
+    sizes = [len(rec.tokens) for rec in sentences]
+    width = max(len(term_of), 1)
     owner = np.repeat(np.arange(len(sentences)), sizes)
     keys, first, counts = np.unique(owner * width + ids, return_index=True,
                                     return_counts=True)

@@ -143,6 +143,28 @@ def test_load_corpus_sorted_ids(toy_corpus):
     assert all(isinstance(c, Cluster) for c in toy_corpus)
 
 
+def test_load_cluster_skips_hidden_files(tmp_path):
+    root = _write_cluster(tmp_path / "c", refs=("a reference.",))
+    (root / "docs" / ".gitkeep").write_text("", encoding="utf-8")
+    (root / "refs" / ".notes.txt").write_text("not a reference.",
+                                               encoding="utf-8")
+    cluster = load_cluster(root)
+    assert [d.id for d in cluster.documents] == ["d0", "d1"]
+    assert cluster.references == ("a reference.",)
+
+
+def test_load_corpus_skips_hidden_directories(tmp_path):
+    _write_cluster(tmp_path / "c1")
+    (tmp_path / ".cache" / "docs").mkdir(parents=True)   # no manifest
+    assert [c.id for c in load_corpus(tmp_path)] == ["c1"]
+
+
+def test_load_corpus_with_only_hidden_directories_is_empty(tmp_path):
+    _write_cluster(tmp_path / ".c1")
+    with pytest.raises(EmptyCorpus):
+        load_corpus(tmp_path)
+
+
 def test_load_corpus_empty(tmp_path):
     with pytest.raises(EmptyCorpus):
         load_corpus(tmp_path)

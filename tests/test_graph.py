@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 import util
 from netsumm.errors import EmptyGraph, InvalidInput, InvalidParameter
-from netsumm.graph import (INTER, INTRA, apply_alpha, build,
+from netsumm.graph import (INTER, INTRA, MultilayerGraph, apply_alpha, build,
                            connected_components, cosine_matrix, from_edges,
                            remove_weakest, shared_key_pairs)
 from netsumm.preprocess import SentenceRecord
@@ -106,6 +106,12 @@ def test_cosine_matrix_rejects_non_positive_weights():
                SentenceVector(1, {0: -1.0}, 1.0)]
     with pytest.raises(InvalidInput):
         cosine_matrix(stack(vectors))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3), (4,), (2, 2, 1)])
+def test_graph_refuses_a_weight_matrix_not_square_in_its_node_count(shape):
+    with pytest.raises(InvalidInput, match="square"):
+        MultilayerGraph(np.zeros(shape), np.array([0, 1]))
 
 
 def test_from_edges_kind_derivation_and_ordering():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from netsumm.errors import EmptySummary, InvalidInput, InvalidParameter
 from netsumm.preprocess import SentenceRecord
 from netsumm import summarize
 from netsumm.summarize import (AR2_THRESHOLD, PreparedCluster,
-                               RedundancyConfig, Summary, ar1_threshold,
-                               ar2_blocks, ngram_similarity, resolve_budget,
-                               select, word_count)
+                               RedundancyConfig, Summary, ar1_blocks,
+                               ar1_threshold, ar2_blocks, ngram_similarity,
+                               resolve_budget, select, word_count)
 
 
 def rec(gid, layer, pos, text):
@@ -208,6 +209,43 @@ def test_an_ar1_run_never_builds_ar2(monkeypatch):
         select(prepared, ranking, SummaryBudget("words", 10_000),
                RedundancyConfig("AR1"))
     assert builds == {"AR1": 1, "AR2": 0}
+
+
+def _ar1_referee(cosines):
+    """AR1's matrix from the pool of every pair i < j."""
+    n = len(cosines)
+    return cosines > ar1_threshold(cosines[np.triu_indices(n, 1)])
+
+
+def test_ar1_blocks_is_the_pairwise_rule():
+    rng = np.random.default_rng(67)
+    for n_sentences in (4, 12, 40):
+        records, _ = util.random_records(rng, n_sentences=n_sentences)
+        cosines = util.prepared_for(records).base.W
+        assert np.array_equal(ar1_blocks(cosines), _ar1_referee(cosines))
+
+
+def test_ar1_blocks_when_every_pair_shares_a_term():
+    rng = np.random.default_rng(71)
+    records, _ = util.random_records(rng, n_sentences=12)
+    # a word every sentence holds links every pair
+    records = [replace(r, tokens=r.tokens + ("levee",)) for r in records]
+    cosines = util.prepared_for(records).base.W
+    n = len(records)
+    assert np.count_nonzero(cosines) == n * (n - 1)
+    assert cosines[np.triu_indices(n, 1)].min() > 0
+    assert np.array_equal(ar1_blocks(cosines), _ar1_referee(cosines))
+
+
+@pytest.mark.parametrize("cosine", [0.0, 0.25, 1.0])
+def test_ar1_blocks_of_two_sentences(cosine):
+    cosines = np.array([[0.0, cosine], [cosine, 0.0]])
+    assert np.array_equal(ar1_blocks(cosines), _ar1_referee(cosines))
+
+
+def test_ar1_blocks_needs_two_sentences():
+    with pytest.raises(InvalidInput):
+        ar1_blocks(np.zeros((1, 1)))
 
 
 # a small vocabulary, so that n-grams repeat within and across sentences

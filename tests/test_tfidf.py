@@ -7,7 +7,8 @@ import oracles
 from netsumm.corpus import load_cluster
 from netsumm.errors import DegenerateCluster
 from netsumm.preprocess import SentenceRecord, build_sentences, load_resources
-from netsumm.tfidf import cosine, fit, vectorize, vectorize_all
+from netsumm.tfidf import (cluster_vectors, cosine, fit, vectorize,
+                           vectorize_all)
 
 
 def rec(gid, doc, tokens):
@@ -154,3 +155,32 @@ def test_vectorize_all_is_bitwise_the_per_sentence_referee():
                 list(weights.values()))
             assert _bits([one.norm]) == _bits([norm])
 
+
+def test_cluster_vectors_is_vectorize_all_of_fit_bit_for_bit():
+    rng = np.random.default_rng(29)
+    pool = ["w%d" % k for k in range(40)]
+    for _ in range(30):
+        records = []
+        for gid in range(int(rng.integers(1, 30))):
+            toks = [pool[int(j)] for j in
+                    rng.integers(0, len(pool), int(rng.integers(0, 25)))]
+            records.append(rec(gid, f"d{int(rng.integers(0, 4))}", toks))
+        if not any(r.tokens for r in records):
+            continue
+        n_docs = int(rng.integers(4, 7))
+        model = fit(records, n_docs)
+        want = vectorize_all(records, model)
+        got = cluster_vectors(records, n_docs)
+        # got's term ids rank the terms by first occurrence
+        seen = list(dict.fromkeys(t for r in records for t in r.tokens))
+        vocab = sorted(model.vocabulary)
+        assert [seen[t] for t in got.term.tolist()] == \
+            [vocab[t] for t in want.term.tolist()]
+        assert got.sentence.tolist() == want.sentence.tolist()
+        assert _bits(got.weight) == _bits(want.weight)
+        assert _bits(got.norms) == _bits(want.norms)
+
+
+def test_cluster_vectors_degenerate():
+    with pytest.raises(DegenerateCluster):
+        cluster_vectors([rec(0, "d0", []), rec(1, "d1", [])], 2)
