@@ -64,10 +64,16 @@ class CentralityResult:
         snapped.flags.writeable = False
         return snapped
 
-    def ranked(self) -> list:
-        """Node ids best-first; equal snapped scores keep node-id order."""
+    @cached_property
+    def order(self) -> tuple:
+        """Node ids best-first; equal snapped scores keep node-id order.
+        Sorted once per result."""
         sign = -1.0 if self.direction == HIGHEST else 1.0
-        return np.argsort(sign * self.snapped, kind="stable").tolist()
+        return tuple(np.argsort(sign * self.snapped, kind="stable").tolist())
+
+    def ranked(self) -> list:
+        """`order` as a new list of ints, which the caller may change."""
+        return list(self.order)
 
 
 # PageRank's damping; its power iteration stops when an iterate moves less

@@ -12,6 +12,7 @@ config values.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from collections import Counter
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import evaluate, summarize
 from .corpus import (SUPPORTED_LANGUAGES, load_corpus, parse_budget,
-                     parse_manifest)
+                     parse_manifest, read_text)
 from .errors import NetsummError, attempt
 
 EXIT_OK = 0
@@ -60,7 +61,11 @@ def _add_common(sub):
     sub.add_argument("--h", help="walk length / level depth (default 2)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    main call; parse_args keeps no state between calls, and callers must
+    not change the parser."""
     parser = argparse.ArgumentParser(
         prog="netsumm",
         description="multilayer-network extractive multi-document summarizer")
@@ -98,8 +103,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         cfg_path = Path(args.config)
         if not cfg_path.is_file():
             raise NetsummError(f"config file {cfg_path} not found")
-        merged.update(parse_manifest(
-            cfg_path.read_text(encoding="utf-8"), str(cfg_path)))
+        merged.update(parse_manifest(read_text(cfg_path), str(cfg_path)))
         options = {key.replace("_", "-") for key in vars(args)} \
             - {"command", "config"}
         for key in merged:

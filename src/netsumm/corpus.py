@@ -3,7 +3,8 @@
 Layout: ``<corpus>/<cluster-id>/{manifest, docs/*.txt, refs/*.txt}``. The
 manifest is flat ``key = value`` text; required key ``budget`` with value
 ``words:N``, ``chars:N`` or ``compression:0.NN``; optional key ``language``
-(``en`` or ``pt``, default ``en``). Files are UTF-8, strictly decoded.
+(``en`` or ``pt``, default ``en``). Files are UTF-8, strictly decoded;
+a byte-order mark (U+FEFF) at the start of a file is dropped.
 Hidden entries, whose names start with '.', are skipped: clusters at the
 corpus root and files in ``docs/`` and ``refs/``.
 """
@@ -68,9 +69,11 @@ class Cluster:
                 f"cluster {self.id}: document k must have layer index k")
 
 
-def _read_text(path: Path) -> str:
+def read_text(path: Path) -> str:
+    """path's text, strictly decoded as UTF-8 without a leading byte-order
+    mark; raises CorpusFormatError on bytes that are not UTF-8."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CorpusFormatError(f"{path} is not valid UTF-8: {exc}") from None
 
@@ -129,7 +132,7 @@ def load_cluster(path) -> Cluster:
     manifest_path = root / "manifest"
     if not manifest_path.is_file():
         raise CorpusFormatError(f"{root} has no manifest file")
-    entries = parse_manifest(_read_text(manifest_path), str(manifest_path))
+    entries = parse_manifest(read_text(manifest_path), str(manifest_path))
     unknown = set(entries) - {"budget", "language"}
     if unknown:
         raise CorpusFormatError(
@@ -151,7 +154,7 @@ def load_cluster(path) -> Cluster:
             f"{root}: found {len(doc_files)} document(s), need at least 2")
     documents = []
     for layer, doc_path in enumerate(doc_files):
-        text = _read_text(doc_path)
+        text = read_text(doc_path)
         if not text.strip():
             raise CorpusFormatError(f"{doc_path} is empty")
         documents.append(Document(doc_path.stem, text, layer))
@@ -160,7 +163,7 @@ def load_cluster(path) -> Cluster:
     references = []
     if refs_dir.is_dir():
         for ref_path in _listing(refs_dir, Path.is_file):
-            references.append(_read_text(ref_path))
+            references.append(read_text(ref_path))
 
     return Cluster(root.name, tuple(documents), tuple(references),
                    budget, language)

@@ -66,12 +66,18 @@ class RougeReferences:
         return np.bincount(columns, minlength=len(self.columns))
 
     def recall(self, counts: np.ndarray, aggregate: str) -> float:
-        """ROUGE-1 recall of the candidate with count row `counts`: per
-        reference, clipped hits over the reference length, combined in
-        reference order by the mean or, for aggregate="max", the max."""
-        hits = np.minimum(counts, self.rows).sum(axis=1).tolist()
-        scores = [hit / total for hit, total in zip(hits, self.totals)]
-        return max(scores) if aggregate == "max" else sum(scores) / len(scores)
+        """ROUGE-1 recall of the candidate with count row `counts`."""
+        return self.recalls(counts[None], aggregate)[0]
+
+    def recalls(self, counts: np.ndarray, aggregate: str) -> list:
+        """ROUGE-1 recall of each candidate whose count row is a row of
+        `counts`, in row order: per reference, clipped hits over the
+        reference length, combined in reference order by the mean or, for
+        aggregate="max", the max."""
+        hits = np.minimum(counts[:, None], self.rows).sum(axis=2)
+        return [max(scores) if aggregate == "max"
+                else sum(scores) / len(scores)
+                for scores in (hits / self.totals).tolist()]
 
 
 def rouge1_recall(candidate: str, references: list,
@@ -236,10 +242,12 @@ def grid_summaries(prepared: summarize.PreparedCluster, grid: SweepGrid,
     which alpha leaves as it is, so it is computed once, from the base
     graph.
     """
+    reds = [(ard, summarize.RedundancyConfig(ard)) for ard in grid.ards]
+
     def outcomes(ranking):
-        for ard in grid.ards:
+        for ard, red in reds:
             yield ard, attempt(summarize.select, prepared, ranking, budget,
-                               summarize.RedundancyConfig(ard))
+                               red)
 
     def cell(measure, g):
         if isinstance(g, NetsummError):
@@ -272,48 +280,71 @@ def _skip(exc: NetsummError) -> str:
     return f"skip:{type(exc).__name__}"
 
 
+# selections that _score_selections counts in one array pass; its scratch
+# is their sentences' count rows
+_SCORE_CHUNK = 16
+
+
+def _score_selections(references: RougeReferences, sentence_rows: np.ndarray,
+                      selections: list, aggregate: str) -> list:
+    """ROUGE-1 recall of each selection, a tuple of sentence indices, in
+    order. A summary's text joins its sentences with spaces, so its count
+    row is the sum of its sentences' rows in sentence_rows."""
+    scores = []
+    for start in range(0, len(selections), _SCORE_CHUNK):
+        chunk = selections[start:start + _SCORE_CHUNK]
+        firsts = np.cumsum([0] + [len(s) for s in chunk[:-1]])
+        counts = np.add.reduceat(
+            sentence_rows[list(chain.from_iterable(chunk))], firsts)
+        scores += references.recalls(counts, aggregate)
+    return scores
+
+
 def _evaluate_cluster(cluster: Cluster, grid: SweepGrid, aggregate: str
                       ) -> tuple:
     """All cell scores for one cluster: ({(measure, alpha, r, ard):
-    (score|None, note)}, CorrelationMatrix)."""
+    (score|None, note)}, CorrelationMatrix). Each distinct selection is
+    scored once, after the walk."""
     prepared = attempt(summarize.prepare_cluster, cluster)
     if isinstance(prepared, NetsummError):
         return ({key: (None, _skip(prepared)) for key in grid.cells()},
                 _corr_snapshot(grid, {}))
 
-    references = attempt(RougeReferences, cluster.references)
-    if not isinstance(references, NetsummError):
-        # each sentence's count row; a summary's text joins its sentences
-        # with spaces, so its row is the sum of theirs
-        sentence_rows = np.array([references.counts(rouge_tokens(
-            rec.raw_text)) for rec in prepared.records])
-    scored = {}  # Summary.selected -> its ROUGE-1 recall
-
-    def score(summary) -> tuple:
-        if isinstance(summary, NetsummError):
-            return None, _skip(summary)
-        if isinstance(references, NetsummError):
-            return None, _skip(references)
-        if summary.selected not in scored:
-            scored[summary.selected] = references.recall(
-                sentence_rows[list(summary.selected)].sum(axis=0), aggregate)
-        return scored[summary.selected], ""
-
-    cells = {}
+    outcomes = {}  # cell -> Summary.selected or the NetsummError
     corr_alpha, corr_r = _corr_point(grid)
     corr_results = {}
     for alpha, r, _, results in grid_summaries(prepared, grid,
                                                cluster.budget):
         for measure, cell in results.items():
             if isinstance(cell, NetsummError):
-                outcomes = [(ard, cell) for ard in grid.ards]
+                cell_outcomes = [(ard, cell) for ard in grid.ards]
             else:
-                ranking, outcomes = cell
+                ranking, cell_outcomes = cell
                 if alpha == corr_alpha and r in (None, corr_r):
                     corr_results[measure] = ranking
-            for ard, outcome in outcomes:
-                cells[(measure, alpha, r, ard)] = score(outcome)
-    return cells, _corr_snapshot(grid, corr_results)
+            for ard, outcome in cell_outcomes:
+                outcomes[(measure, alpha, r, ard)] = outcome if isinstance(
+                    outcome, NetsummError) else outcome.selected
+
+    references = attempt(RougeReferences, cluster.references)
+    scored = {}  # Summary.selected -> its ROUGE-1 recall
+    if not isinstance(references, NetsummError):
+        sentence_rows = np.array([references.counts(rouge_tokens(
+            rec.raw_text)) for rec in prepared.records])
+        selections = list(dict.fromkeys(
+            o for o in outcomes.values() if not isinstance(o, NetsummError)))
+        scored = dict(zip(selections, _score_selections(
+            references, sentence_rows, selections, aggregate)))
+
+    def score(outcome) -> tuple:
+        if isinstance(outcome, NetsummError):
+            return None, _skip(outcome)
+        if isinstance(references, NetsummError):
+            return None, _skip(references)
+        return scored[outcome], ""
+
+    return ({key: score(outcome) for key, outcome in outcomes.items()},
+            _corr_snapshot(grid, corr_results))
 
 
 def check_sweep_options(aggregate: str, jobs: int) -> None:
@@ -353,23 +384,21 @@ def run_sweep(clusters: list, grid: SweepGrid = SweepGrid(),
 
     cluster_ids = tuple(c.id for c in clusters)
     rows = []
+    best = {}  # measure -> its first row of the highest mean
     for key in grid.cells():
         per_cluster = tuple((cid, *cells[key])
                             for cid, (cells, _) in zip(cluster_ids, evaluated))
         scores = [score for _, score, _ in per_cluster if score is not None]
         mean = sum(scores) / len(scores) if scores else None
         rows.append(SweepRow(*key, mean, per_cluster))
-
-    best = []
-    for measure in grid.measures:
-        candidates = [row for row in rows
-                      if row.measure == measure and row.rouge1 is not None]
-        if candidates:
-            best.append(max(candidates, key=lambda row: row.rouge1))
+        if mean is not None and (key[0] not in best
+                                 or mean > best[key[0]].rouge1):
+            best[key[0]] = rows[-1]
 
     correlations = _average_correlations([corr for _, corr in evaluated])
+    # cells() walks the measures in grid order, and so does best
     return EvaluationReport(tuple(rows), cluster_ids, correlations,
-                            tuple(best))
+                            tuple(best.values()))
 
 
 def _average_correlations(matrices: list) -> CorrelationMatrix:
@@ -450,20 +479,19 @@ def write_curves(report: EvaluationReport, out_dir) -> list:
     Each (alpha, r) point reports the best mean over the anti-redundancy
     variants, so the curve matches the settings the best table would pick.
     """
-    out = Path(out_dir)
+    curves = {}  # measure -> {(alpha, r): best mean}, in row order
+    for row in report.rows:
+        points = curves.setdefault(row.measure, {})
+        key = (row.alpha, row.r)
+        if row.rouge1 is not None and (key not in points
+                                       or row.rouge1 > points[key]):
+            points[key] = row.rouge1
     written = []
-    for measure in dict.fromkeys(row.measure for row in report.rows):
-        points: dict = {}
-        for row in report.rows:
-            if row.measure != measure or row.rouge1 is None:
-                continue
-            key = (row.alpha, row.r)
-            if key not in points or row.rouge1 > points[key]:
-                points[key] = row.rouge1
+    for measure, points in curves.items():
         lines = ["alpha,r,rouge1_mean"]
         for (alpha, r), mean in points.items():
             lines.append(f"{alpha:g},{fmt_r(r)},{_fmt_score(mean)}")
-        path = out / f"curve_{measure}.csv"
+        path = Path(out_dir) / f"curve_{measure}.csv"
         write_lines(path, lines)
         written.append(path)
     return written

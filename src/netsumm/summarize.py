@@ -9,13 +9,15 @@ AR2_WEIGHTS, above AR2_THRESHOLD. Both comparisons are strict.
 Candidates are taken in ranked() order: by snapped score, ties by node id,
 which is the sentences' (layer, position) order. What select needs beyond
 the ranking does not change across the cells of a sweep: each sentence's
-word and character counts, each resolved budget, and per anti-redundancy
-method a boolean matrix of which sentence a chosen one blocks. A
-PreparedCluster holds these with the cluster's sentences and base graph,
-computes each piece once, and builds a method's matrix the first time
-select asks for it: AR1's from the base graph's cosines, AR2's from the
-k-grams that each two sentences share. Both tests are symmetric, so a
-candidate is skipped exactly when some chosen sentence's row blocks it.
+word and character counts and whether it has tokens, each resolved
+budget, and per anti-redundancy method a boolean matrix of which sentence
+a chosen one blocks. A PreparedCluster holds these with the cluster's
+sentences and base graph, computes each piece once, and builds a method's
+matrix the first time select asks for it: AR1's from the base graph's
+cosines, AR2's from the k-grams that each two sentences share. Both tests
+are symmetric, so a candidate is skipped exactly when some chosen
+sentence's row blocks it; select ORs the chosen rows as int bitmasks,
+each row converted the first time a selection chooses its sentence.
 """
 
 from __future__ import annotations
@@ -151,9 +153,11 @@ class PreparedCluster:
         self.base = base
         self.words = [word_count(rec.raw_text) for rec in records]
         self.chars = [len(rec.raw_text) for rec in records]
+        # only a sentence with tokens may be selected
+        self.usable = [bool(rec.tokens) for rec in records]
         # per budget kind, the least any candidate costs once a sentence is
         # chosen (a chars budget adds the space before it)
-        usable = [k for k, rec in enumerate(records) if rec.tokens]
+        usable = [k for k, ok in enumerate(self.usable) if ok]
         self.least_cost = {
             "words": min((self.words[k] for k in usable), default=0),
             "chars": min((self.chars[k] for k in usable), default=0) + 1}
@@ -167,15 +171,32 @@ class PreparedCluster:
         return self._budgets[budget]
 
     def blocks(self, red: RedundancyConfig):
-        """The boolean matrix whose row k marks the sentences that `red`
-        skips once sentence k is chosen, built on first use; None for
-        method "none"."""
+        """Which sentences `red` skips once a sentence is chosen, built on
+        first use; None for method "none". Its `matrix` is the boolean
+        matrix whose row k marks the sentences that sentence k blocks, and
+        blocks(red)[k] is that row as an int, bit j set when k blocks j."""
         if red.method == "none":
             return None
         if red.method not in self._blocks:
-            self._blocks[red.method] = ar1_blocks(self.base.W) \
-                if red.method == "AR1" else ar2_blocks(self.records)
+            self._blocks[red.method] = _BitRows(
+                ar1_blocks(self.base.W) if red.method == "AR1"
+                else ar2_blocks(self.records))
         return self._blocks[red.method]
+
+
+class _BitRows(dict):
+    """The rows of a boolean matrix as ints, bit j of row k holding entry
+    (k, j); a row is converted when it is first looked up, so a caller that
+    reads a few rows pays for those few."""
+
+    def __init__(self, matrix: np.ndarray):
+        super().__init__()
+        self.matrix = matrix
+
+    def __missing__(self, k: int) -> int:
+        row = self[k] = int.from_bytes(np.packbits(
+            self.matrix[k], bitorder="little").tobytes(), "little")
+        return row
 
 
 def prepare_cluster(cluster: Cluster) -> PreparedCluster:
@@ -224,17 +245,19 @@ def select(prepared: PreparedCluster, ranking: CentralityResult,
     kind, limit = prepared.budget_limit(budget)
     costs = prepared.words if kind == "words" else prepared.chars
     least = prepared.least_cost[kind]
-    blocked = np.zeros(n, dtype=bool)
+    # a chars budget also counts the space before each later sentence
+    space = 1 if kind == "chars" else 0
+    usable = prepared.usable
+    blocked = 0  # bit k is set once a chosen sentence blocks sentence k
     chosen = []
     used = 0
-    for k in ranking.ranked():
-        if blocked[k] or not records[k].tokens:
+    for k in ranking.order:
+        if not usable[k] or blocked >> k & 1:
             continue
-        # a chars budget also counts the space before each later sentence
-        cost = costs[k] + (1 if chosen and kind == "chars" else 0)
+        cost = costs[k] + (space if chosen else 0)
         if used + cost > limit:
             continue
-        chosen.append(records[k])
+        chosen.append(k)
         used += cost
         if limit - used < least:
             break  # no later candidate fits
@@ -243,6 +266,6 @@ def select(prepared: PreparedCluster, ranking: CentralityResult,
     if not chosen:
         raise EmptySummary(
             f"no sentence fits the {kind} budget of {limit}")
-    return Summary(tuple(rec.global_id for rec in chosen),
-                   " ".join(rec.raw_text for rec in chosen),
-                   used)
+    # node k is records[k], whose global id is k
+    return Summary(tuple(chosen),
+                   " ".join([records[k].raw_text for k in chosen]), used)

@@ -56,6 +56,16 @@ def test_ranked_directions_and_ties():
     assert all(type(v) is int for v in res.ranked())
 
 
+def test_ranked_returns_a_list_the_caller_may_change():
+    res = CentralityResult("dg", [1.0, 3.0, 2.0], HIGHEST)
+    first = res.ranked()
+    first.reverse()
+    first.append(7)
+    assert res.ranked() == [1, 2, 0] == list(res.order)
+    assert res.ranked() is not res.ranked()
+    assert res.order is res.order  # sorted once per result
+
+
 def test_scores_and_snapped_are_read_only_copies():
     source = np.array([1.0, 2.0, 3.0])
     res = CentralityResult("dg", source, HIGHEST)

@@ -204,6 +204,48 @@ def test_config_booleans(toy_path, tmp_path, value, written):
     assert (out / "c01__dg__a1__r0.2__scores.csv").is_file() == written
 
 
+def test_config_file_may_start_with_a_byte_order_mark(toy_path, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\ufeff# run settings\nmeasure = dg\nalpha = 1.0\n"
+                   "r = 0.2\nard = none\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["summarize", "--corpus", str(toy_path), "--out", str(out),
+                 "--config", str(cfg)]) == 0
+    assert (out / "c01__dg__a1__r0.2__none.txt").is_file()
+
+
+def test_config_file_that_is_not_utf8_exits_1(toy_path, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"measure = d\xffg\n")
+    out = tmp_path / "out"
+    assert main(["summarize", "--corpus", str(toy_path), "--out", str(out),
+                 "--config", str(cfg)]) == 1
+    assert "not valid UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_calls_in_one_process_parse_only_their_own_flags(toy_path,
+                                                              tmp_path):
+    # the parser is built once per process; no flag of one call leaks into
+    # the next
+    one, two, three = (tmp_path / name for name in ("one", "two", "three"))
+    flags = ["--measure", "dg", "--alpha", "1.0", "--r", "0.2"]
+    assert main(["summarize", "--corpus", str(toy_path), "--out", str(one),
+                 "--dump-scores", *flags, "--ard", "AR1"]) == 0
+    assert main(["summarize", "--corpus", str(toy_path), "--out", str(two),
+                 *flags]) == 0
+    assert main(["evaluate", "--corpus", str(toy_path), "--out", str(three),
+                 "--jobs", "1", *flags, "--ard", "none"]) == 0
+    assert sorted(p.name for p in one.iterdir()) == [
+        "c01__dg__a1__r0.2__AR1.txt", "c01__dg__a1__r0.2__scores.csv",
+        "c02__dg__a1__r0.2__AR1.txt", "c02__dg__a1__r0.2__scores.csv"]
+    assert sorted(p.name for p in two.iterdir()) == [
+        "c01__dg__a1__r0.2__none.txt", "c02__dg__a1__r0.2__none.txt"]
+    report = (three / "report.csv").read_text("utf-8").splitlines()
+    assert [line.split(",")[:4] for line in report[1:]] == [
+        ["dg", "1", "0.2", "none"]]
+
+
 def test_config_boolean_flag_wins_over_false(toy_path, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dump-sim = false\n", encoding="utf-8")

@@ -184,3 +184,40 @@ def test_cluster_holds_its_documents_in_layer_order():
                 (Document("a", "One.", 1), Document("b", "Two.", 2))):
         with pytest.raises(InvalidInput, match="layer index"):
             Cluster("c", bad, (), budget)
+
+
+BOM = "\ufeff"
+
+
+def test_load_cluster_drops_a_byte_order_mark_from_a_manifest(tmp_path):
+    # the mark once made the first line "\ufeff# cluster manifest", no
+    # 'key = value' line
+    for manifest in ("budget = words:10\n", "# manifest\nbudget = words:10\n"):
+        root = _write_cluster(tmp_path / f"c{len(manifest)}",
+                              manifest=BOM + manifest)
+        assert load_cluster(root).budget == SummaryBudget("words", 10)
+
+
+def test_load_cluster_drops_a_byte_order_mark_from_a_document(tmp_path):
+    root = _write_cluster(tmp_path / "c", docs=(BOM + "one sentence.",
+                                                "another sentence."))
+    assert load_cluster(root).documents[0].raw_text == "one sentence."
+
+
+def test_load_cluster_drops_a_byte_order_mark_from_a_reference(tmp_path):
+    root = _write_cluster(tmp_path / "c", refs=(BOM + "a reference.",))
+    assert load_cluster(root).references == ("a reference.",)
+
+
+def test_load_cluster_keeps_a_mark_inside_a_file(tmp_path):
+    # only a leading mark is dropped; one later in the text stays text
+    text = "one" + BOM + " sentence."
+    root = _write_cluster(tmp_path / "c", docs=(text, "another sentence."))
+    assert load_cluster(root).documents[0].raw_text == text
+
+
+def test_load_cluster_rejects_invalid_utf8_after_a_mark(tmp_path):
+    root = _write_cluster(tmp_path / "c")
+    (root / "docs" / "d0.txt").write_bytes(b"\xef\xbb\xbf\xff broken")
+    with pytest.raises(CorpusFormatError, match="UTF-8"):
+        load_cluster(root)

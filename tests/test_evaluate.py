@@ -55,21 +55,24 @@ def test_rouge1_recall_reference_errors():
 def test_run_sweep_scores_each_distinct_summary_once(toy_corpus,
                                                      monkeypatch):
     summaries, scored = [], []
-    recall, select = evaluate.RougeReferences.recall, summarize.select
+    recalls, select = evaluate.RougeReferences.recalls, summarize.select
 
     def recorded_select(*args, **kwargs):
         summaries.append(select(*args, **kwargs))
         return summaries[-1]
 
     def counted(references, counts, aggregate):
-        # the counts are the latest summary's
-        assert np.array_equal(counts, references.counts(
-            rouge_tokens(summaries[-1].text)))
-        scored.append(summaries[-1].selected)
-        return recall(references, counts, aggregate)
+        # the rows are the distinct summaries', in the order first selected
+        distinct = list({summ.selected: summ for summ in summaries}.values())
+        for row in counts:
+            summary = distinct[len(scored)]
+            assert np.array_equal(row, references.counts(
+                rouge_tokens(summary.text)))
+            scored.append(summary.selected)
+        return recalls(references, counts, aggregate)
 
     monkeypatch.setattr(summarize, "select", recorded_select)
-    monkeypatch.setattr(evaluate.RougeReferences, "recall", counted)
+    monkeypatch.setattr(evaluate.RougeReferences, "recalls", counted)
     grid = SweepGrid(alphas=(0.5, 1.0), rs=(0.2, 0.3),
                      measures=("dg", "stg", "pr"), ards=("none", "AR1"))
     report = run_sweep(toy_corpus[:1], grid)

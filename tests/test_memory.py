@@ -1,6 +1,6 @@
 """The graph transforms allocate no n x n scratch beyond what they return:
 their traced peak stays under twice the bytes of their result, on a
-250-sentence cluster."""
+250-sentence cluster. The sweep's ROUGE scoring holds a bounded scratch."""
 
 import tracemalloc
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import util
+from netsumm.evaluate import RougeReferences, _score_selections
 from netsumm.graph import build, remove_weakest
 from netsumm.summarize import ar1_blocks
 from netsumm.tfidf import cluster_vectors
@@ -42,3 +43,29 @@ def test_ar1_blocks_peak_is_under_twice_its_result(base):
     blocks, peak = traced_peak(lambda: ar1_blocks(base.W))
     assert blocks.shape == (250, 250)
     assert peak < 2 * blocks.nbytes
+
+
+def test_rouge_scoring_scratch_does_not_grow_with_the_selections():
+    """The sweep scores a cluster's distinct selections a chunk at a time,
+    so its scratch is the count rows of one chunk's sentences, not of every
+    chosen sentence at once. Shaped like sweep-cst's scoring: 30 sentences, a
+    60-term reference vocabulary, 540 selections of 8-10 sentences, where
+    gathering every row at once takes about 2.3 MB. Past that, each further
+    selection adds only its score to the peak."""
+    rng = np.random.default_rng(7)
+    words = [f"w{k}" for k in range(60)]
+    references = RougeReferences([" ".join(words * 2)])
+    sentence_rows = np.array([references.counts(rng.choice(words, 20))
+                              for _ in range(30)])
+    selections = [tuple(sorted(rng.choice(30, int(rng.integers(8, 11)),
+                                          replace=False).tolist()))
+                  for _ in range(2160)]
+    peaks = {}
+    for count in (540, 2160):
+        scores, peaks[count] = traced_peak(lambda: _score_selections(
+            references, sentence_rows, selections[:count], "mean"))
+        assert len(scores) == count
+    gathered = sum(map(len, selections[:540])) * sentence_rows[0].nbytes
+    assert gathered > 2_000_000
+    assert peaks[540] < gathered / 8
+    assert peaks[2160] - peaks[540] < 64 * (2160 - 540)

@@ -388,9 +388,7 @@ def selection_cases(draw):
     return records, cosines, calls
 
 
-@settings(max_examples=300, deadline=None)
-@given(selection_cases())
-def test_select_matches_the_greedy_rule(case):
+def _assert_select_is_greedy(case):
     records, cosines, calls = case
     prepared = util.prepared_for(records, cosines)
     for scores, direction, budget, red in calls:
@@ -398,3 +396,49 @@ def test_select_matches_the_greedy_rule(case):
         assert _outcome(select, prepared, ranking, budget, red) \
             == _outcome(_greedy_by_any, records, ranking, budget, red,
                         cosines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(selection_cases())
+def test_select_matches_the_greedy_rule(case):
+    _assert_select_is_greedy(case)
+
+
+@st.composite
+def wide_selection_cases(draw):
+    """selection_cases past one 64-bit machine word: 60-140 sentences, so
+    that chosen sentences block candidates whose node ids lie beyond bit 64
+    of a row. Built from a numpy generator seeded by the draw, since
+    hypothesis cannot draw a 140 x 140 matrix entry by entry."""
+    n = draw(st.integers(60, 140))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    words = ("river", "flood", "town", "storm", "crew", "bridge", "rain")
+    layers = np.sort(rng.integers(0, 4, n))
+    records, positions = [], {}
+    for gid, layer in enumerate(layers.tolist()):
+        # one sentence in ten has no tokens, and so is never selected
+        tokens = () if rng.random() < 0.1 else tuple(
+            rng.choice(words, int(rng.integers(1, 7))).tolist())
+        raw = " ".join(("the",) + tokens)
+        records.append(SentenceRecord(gid, f"d{layer}", layer,
+                                      positions.setdefault(layer, 0), raw,
+                                      tokens))
+        positions[layer] += 1
+    upper = np.triu(rng.choice([0.0, 0.0, 0.0, 0.1, 0.4, 0.9], (n, n)), 1)
+    cosines = upper + upper.T
+    calls = []
+    for red in (RedundancyConfig(), RedundancyConfig("AR1"),
+                RedundancyConfig("AR2")):
+        for budget in (SummaryBudget("words", int(rng.integers(10, 400))),
+                       SummaryBudget("chars", int(rng.integers(40, 2500)))):
+            scores = rng.choice([0.0, 0.5, 0.5 + 1e-14, 1.0, 2.0, 3.0, 4.0,
+                                 -math.inf], n)
+            calls.append((scores, rng.choice([HIGHEST, LOWEST]), budget,
+                          red))
+    return records, cosines, calls
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_selection_cases())
+def test_select_matches_the_greedy_rule_past_one_machine_word(case):
+    _assert_select_is_greedy(case)
